@@ -227,18 +227,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--output", default=None, help="persist the results as JSON to this path"
     )
     bench.add_argument(
-        "--schema-version",
-        type=int,
-        choices=[2, 3, 4, 5, 6, 7, 8],
-        default=8,
-        help="bench JSON schema (7 strips the v8-only service fields "
-        "latency_p50_seconds/latency_p99_seconds/cache_hit_rate, 6 "
-        "additionally the v7 robustness fields termination/"
-        "backend_retries, 5 the fleet fields shard/attempts/"
-        "journal_digest/throughput, 4 the bound-source fields, 3 the "
-        "backend field, 2 the portfolio fields)",
-    )
-    bench.add_argument(
         "--dedupe",
         action="store_true",
         help="drop SMT cells whose problem is isomorphic to an earlier "
@@ -464,14 +452,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--output",
         default=None,
         help="persist the payload as bench JSON to this path",
-    )
-    loadtest.add_argument(
-        "--schema-version",
-        type=int,
-        choices=[2, 3, 4, 5, 6, 7, 8],
-        default=8,
-        help="bench JSON schema for --output (v8 carries the latency "
-        "percentiles and cache hit-rate; older versions strip them)",
     )
     return parser
 
@@ -744,7 +724,6 @@ def main(argv: Sequence[str] | None = None) -> int:
                 jobs=args.jobs,
                 timeout=args.timeout,
                 output_path=args.output,
-                schema_version=args.schema_version,
                 journal_path=journal_path,
                 resume=args.resume is not None,
                 max_retries=args.max_retries,
@@ -915,11 +894,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             from repro.evaluation.runner import save_results
 
             try:
-                save_results(
-                    [loadtest_result(payload)],
-                    args.output,
-                    schema_version=args.schema_version,
-                )
+                save_results([loadtest_result(payload)], args.output)
             except OSError as exc:
                 print(f"error: cannot write {args.output}: {exc}", file=sys.stderr)
                 return 1

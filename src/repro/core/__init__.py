@@ -44,7 +44,6 @@ from repro.core.report import (
     TERMINATION_INFEASIBLE,
     TERMINATIONS,
     SchedulerReport,
-    SchedulerResult,
 )
 from repro.core.validator import ValidationError, validate_schedule
 from repro.core.structured import StructuredScheduler
@@ -71,7 +70,6 @@ __all__ = [
     "TERMINATION_INFEASIBLE",
     "Schedule",
     "SchedulerReport",
-    "SchedulerResult",
     "SchedulingProblem",
     "Stage",
     "StageKind",

@@ -88,6 +88,3 @@ class SchedulerReport:
         """How many stage horizons the strategy asked the solver to decide."""
         return len(self.stages_tried)
 
-
-#: Backwards-compatible alias (the seed called the report a "result").
-SchedulerResult = SchedulerReport

@@ -48,12 +48,12 @@ from typing import Optional
 
 from repro.core.budget import Deadline
 from repro.core.problem import SchedulingProblem
-from repro.core.report import SchedulerReport, SchedulerResult
+from repro.core.report import SchedulerReport
 from repro.core.strategies import SearchLimits, get_strategy
 from repro.core.validator import validate_schedule
 from repro.sat.backend import backend_info
 
-__all__ = ["SMTScheduler", "SchedulerReport", "SchedulerResult"]
+__all__ = ["SMTScheduler", "SchedulerReport"]
 
 
 class SMTScheduler:

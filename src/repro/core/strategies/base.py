@@ -39,6 +39,14 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: headroom, which costs one cold re-encode and is rare in practice.
 _CAPACITY_HEADROOM = 7
 
+#: Probe statistics that describe the solver rather than the probe's work:
+#: formula size, the decision-level high-water mark, and ``backend_retries``,
+#: which the solver already keeps as a running total.  A whole-search
+#: summary takes them from the last probe instead of summing them.
+_LAST_PROBE_STATISTICS = frozenset(
+    {"sat_variables", "sat_clauses", "sat_max_decision_level", "backend_retries"}
+)
+
 
 @dataclass(frozen=True)
 class SearchLimits:
@@ -183,6 +191,36 @@ class SearchContext:
             instance.set_phase_hints(self._hint_provider(instance))
         self._instance = instance
         return instance
+
+
+def accumulate_statistics(
+    total: dict[str, float], probe: dict[str, float]
+) -> dict[str, float]:
+    """Fold one probe's statistics into the whole-search *total*.
+
+    ``encode_seconds``, ``solve_seconds`` and the ``sat_*`` per-check
+    counter deltas are summed; the :data:`_LAST_PROBE_STATISTICS` gauges
+    keep the last probe's value; every ``*_per_second`` rate is recomputed
+    from its summed counter over the summed ``solve_seconds``.  A check
+    that returned early on an expired deadline did no work and adds nothing
+    but its ``deadline_expired`` flag.
+    """
+    if probe.get("deadline_expired"):
+        return {**total, "deadline_expired": 1.0}
+    merged = dict(total)
+    rates = [key for key in probe if key.endswith("_per_second")]
+    for key, value in probe.items():
+        if key in rates:
+            continue
+        if key in _LAST_PROBE_STATISTICS:
+            merged[key] = value
+        else:
+            merged[key] = merged.get(key, 0) + value
+    solve_seconds = merged.get("solve_seconds", 0.0)
+    for rate in rates:
+        counter = merged.get(rate[: -len("_per_second")], 0)
+        merged[rate] = counter / solve_seconds if solve_seconds > 0 else 0.0
+    return merged
 
 
 def seeded_phase_hints(instance: IncrementalInstance, seed: int) -> dict:

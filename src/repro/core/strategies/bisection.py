@@ -35,6 +35,7 @@ from repro.core.strategies.base import (
     SearchContext,
     SearchLimits,
     SearchStrategy,
+    accumulate_statistics,
     register_strategy,
 )
 from repro.core.structured import StructuredScheduler
@@ -124,7 +125,9 @@ class BisectionStrategy(SearchStrategy):
             report.stages_tried.append(mid)
             try:
                 result = context.decide(mid)
-                report.statistics = context.statistics()
+                report.statistics = accumulate_statistics(
+                    report.statistics, context.statistics()
+                )
             except BackendError as exc:
                 backend_error = True
                 optimal = False
@@ -165,7 +168,9 @@ class BisectionStrategy(SearchStrategy):
                     report.stages_tried.append(low)
                     try:
                         result = context.decide(low)
-                        report.statistics = context.statistics()
+                        report.statistics = accumulate_statistics(
+                            report.statistics, context.statistics()
+                        )
                     except BackendError as exc:
                         backend_error = True
                         optimal = False

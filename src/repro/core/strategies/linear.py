@@ -33,6 +33,7 @@ from repro.core.strategies.base import (
     SearchContext,
     SearchLimits,
     SearchStrategy,
+    accumulate_statistics,
     register_strategy,
 )
 from repro.core.strategies.bisection import (
@@ -94,7 +95,7 @@ class LinearStrategy(SearchStrategy):
             try:
                 if context is not None:
                     result = context.decide(num_stages)
-                    report.statistics = context.statistics()
+                    probe = context.statistics()
                 else:
                     instance = encode_problem(
                         problem,
@@ -108,13 +109,18 @@ class LinearStrategy(SearchStrategy):
                         time_limit=limits.time_limit,
                         deadline=deadline,
                     )
-                    report.statistics = instance.statistics()
+                    probe = instance.statistics()
+                    # Each cold-start probe runs a solver of its own, whose
+                    # running retry count starts from zero.
+                    retried = report.statistics.get("backend_retries", 0)
+                    probe["backend_retries"] = probe.get("backend_retries", 0) + retried
             except BackendError as exc:
                 backend_error = True
                 optimal = False
                 report.statistics = {**report.statistics, "backend_error": 1.0}
                 merged.setdefault("backend_error", str(exc))
                 break
+            report.statistics = accumulate_statistics(report.statistics, probe)
             if result is CheckResult.UNKNOWN:
                 # Could not decide this stage count: any later answer is no
                 # longer guaranteed to be minimal.

@@ -5,8 +5,8 @@ The portfolio fans a set of solver *configurations* — ``bisection``,
 CDCL core's initial branching polarities, plus one bisection variant per
 additional usable SAT backend (:mod:`repro.sat.backend`) — across worker
 processes
-(reusing :func:`repro.evaluation.runner.race_to_first`, the racing
-counterpart of the bench runner's pool machinery), keeps the first
+(reusing :func:`repro.evaluation.executor.race_to_first`, the racing
+counterpart of the bench runner's worker pool), keeps the first
 configuration that certifies an optimum, and cancels/terminates the losers.
 Every configuration is sound and complete for the same problem, so whichever
 certificate lands first reports the *same* optimal stage count — racing buys
@@ -209,7 +209,7 @@ class PortfolioStrategy(SearchStrategy):
         witness,
         configs: Sequence[dict],
     ) -> SchedulerReport:
-        from repro.evaluation.runner import race_to_first
+        from repro.evaluation.executor import race_to_first
 
         tasks = [
             (problem, config, limits, dict(metadata), witness)

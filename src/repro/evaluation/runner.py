@@ -62,16 +62,7 @@ from dataclasses import asdict, dataclass, field
 from typing import Optional, Sequence
 
 from repro.core.budget import DeadlineExceeded
-# RaceOutcome/race_to_first moved to the executor in PR 9; re-exported here
-# because the portfolio strategy and downstream code import them from the
-# runner, which remains their documented home.
-from repro.evaluation.executor import (
-    TASK_CRASHED,
-    TASK_OK,
-    RaceOutcome,  # noqa: F401 - re-export
-    WorkerPool,
-    race_to_first,  # noqa: F401 - re-export
-)
+from repro.evaluation.executor import TASK_CRASHED, TASK_OK, WorkerPool
 from repro.evaluation.journal import (
     BenchJournal,
     file_digest,
@@ -130,7 +121,7 @@ class BenchResult:
     exceeded; re-queued by ``--resume``), or ``"failed"`` (the worker
     process crashed on every one of its ``1 + max_retries`` attempts).
     ``attempts`` counts the execution attempts this outcome consumed
-    (schema v6; > 1 only when crash retries or a resume were involved).
+    (> 1 only when crash retries or a resume were involved).
     """
 
     name: str
@@ -458,7 +449,7 @@ def _execute_smt(spec: dict) -> dict:
     report = scheduler.schedule(problem)
     payload = {
         "strategy": strategy,
-        # Schema v4 field: the resolved backend registry name.
+        # The resolved backend registry name.
         "sat_backend": report.sat_backend,
         "layout": spec.get("layout_label", spec["layout_kind"]),
         "instance": spec["instance"],
@@ -466,19 +457,19 @@ def _execute_smt(spec: dict) -> dict:
         "optimal": report.optimal,
         "lower_bound": report.lower_bound,
         "upper_bound": report.upper_bound,
-        # Schema v5 fields: certificate provenance of both bounds.
+        # Certificate provenance of both bounds.
         "lower_bound_source": report.lower_bound_source,
         "upper_bound_source": report.upper_bound_source,
         "stages_tried": report.stages_tried,
         "num_horizons": report.num_horizons,
         "solver_seconds": report.solver_seconds,
-        # Schema v7 fields: how the search ended (the graceful-degradation
-        # verdict) and how many transient backend failures were retried.
+        # How the search ended (the graceful-degradation verdict) and how
+        # many transient backend failures were retried.
         "termination": report.termination,
         "backend_retries": int(report.statistics.get("backend_retries", 0)),
     }
-    # Schema v6 fields: hot-loop telemetry of the deciding SAT backend
-    # (per-check rates and search/inprocessing counters of the last probe),
+    # Hot-loop telemetry of the deciding SAT backend (rates and
+    # search/inprocessing counters summed over every probe of the search),
     # when the backend keeps them — the trend tool tracks these across
     # commits.
     for key in (
@@ -491,7 +482,7 @@ def _execute_smt(spec: dict) -> dict:
         if key in report.statistics:
             payload[key] = report.statistics[key]
     if report.winner is not None:
-        # Schema v3 field (portfolio runs only); stripped for v2 documents.
+        # Portfolio runs only.
         payload["winner"] = report.winner
     if report.found:
         validate_schedule(report.schedule, require_shielding=problem.shielding)
@@ -565,7 +556,6 @@ def run_batch(
     jobs: Optional[int] = None,
     timeout: Optional[float] = None,
     output_path: str | os.PathLike | None = None,
-    schema_version: int = 8,
     journal_path: str | os.PathLike | None = None,
     resume: bool = False,
     max_retries: int = 2,
@@ -574,15 +564,17 @@ def run_batch(
     """Execute *instances*, optionally in parallel, and collect results.
 
     ``jobs=None`` or ``jobs <= 1`` runs serially in this process (no pickling
-    round-trips, easiest to debug); larger values fan out across that many
-    worker processes, one :class:`multiprocessing.Process` per in-flight
-    cell.  *timeout* bounds each instance's execution time: every spec
-    enforces it cooperatively through a :class:`~repro.core.budget.Deadline`
-    (SMT cells degrade gracefully to ``termination: "deadline"``;
-    table1/exploration cells are preempted between sub-instances with
-    status ``"timeout"``), and in parallel mode the harness additionally
-    terminates any worker that overruns (status ``"timeout"``).  When
-    *output_path* is given the results are additionally persisted as JSON.
+    round-trips, easiest to debug); larger values fan out across a
+    persistent warm pool of that many worker processes
+    (:class:`~repro.evaluation.executor.WorkerPool`).  *timeout* bounds
+    each instance's execution time: every spec enforces it cooperatively
+    through a :class:`~repro.core.budget.Deadline` (SMT cells degrade
+    gracefully to ``termination: "deadline"``; table1/exploration cells
+    are preempted between sub-instances with status ``"timeout"``), and
+    in parallel mode the harness additionally terminates any worker that
+    overruns (status ``"timeout"``).  When
+    *output_path* is given the results are additionally persisted as a
+    :func:`save_results` document.
 
     *journal_path* appends a per-cell completion journal
     (:mod:`repro.evaluation.journal`); with ``resume=True`` the journal is
@@ -590,7 +582,7 @@ def run_batch(
     re-run, while crashed and timed-out cells are re-queued.  A cell whose
     worker crashes is retried up to ``1 + max_retries`` total attempts
     (counting attempts recorded in a resumed journal) and then recorded as
-    ``status: "failed"``.  *shard* is the schema-v6 shard descriptor from
+    ``status: "failed"``.  *shard* is the shard descriptor from
     :func:`shard_info`; when omitted the run is recorded as the single
     shard of its own cell set.
     """
@@ -628,13 +620,7 @@ def run_batch(
     merged = {**carried, **executed}
     results = [merged[index] for index in sorted(merged)]
     if output_path is not None:
-        save_results(
-            results,
-            output_path,
-            schema_version=schema_version,
-            shard=shard,
-            journal_path=journal_path,
-        )
+        save_results(results, output_path, shard=shard, journal_path=journal_path)
     return results
 
 
@@ -813,100 +799,42 @@ def _with_timeout(spec: dict, timeout: Optional[float]) -> dict:
 # --------------------------------------------------------------------------- #
 # Persistence and formatting
 # --------------------------------------------------------------------------- #
-#: Payload keys introduced per schema version; stripped when an older
-#: document version is requested for compatibility.
-_V3_PAYLOAD_KEYS = ("winner",)
-_V4_PAYLOAD_KEYS = ("sat_backend",)
-_V5_PAYLOAD_KEYS = ("lower_bound_source", "upper_bound_source")
-_V6_PAYLOAD_KEYS = (
-    "sat_propagations_per_second",
-    "sat_conflicts_per_second",
-    "sat_chrono_backtracks",
-    "sat_vivified_literals",
-    "sat_subsumed_clauses",
-)
-_V7_PAYLOAD_KEYS = ("termination", "backend_retries")
-_V8_PAYLOAD_KEYS = (
-    "latency_p50_seconds",
-    "latency_p99_seconds",
-    "cache_hit_rate",
-)
-
-#: Every version :func:`save_results` can emit.
-BENCH_SCHEMA_VERSIONS = (2, 3, 4, 5, 6, 7, 8)
+#: Version of the one document :func:`save_results` writes.
+DOCUMENT_VERSION = 8
 
 
 def save_results(
     results: Sequence[BenchResult],
     path: str | os.PathLike,
-    schema_version: int = 8,
     shard: Optional[dict] = None,
     journal_path: str | os.PathLike | None = None,
 ) -> None:
-    """Persist a batch run as a JSON document.
+    """Persist a batch run as a JSON document (version :data:`DOCUMENT_VERSION`).
 
-    Schema history: version 2 gave SMT payloads the search trajectory
-    (strategy/lower_bound/upper_bound/stages_tried/num_horizons); version 3
-    added the portfolio's ``winner`` configuration; version 4 added the SAT
-    backend (``sat_backend``) that decided the probes; version 5 added the
-    bound-certificate provenance (``lower_bound_source`` /
-    ``upper_bound_source``); version 6 is the bench-fleet schema:
-    per-result ``attempts`` and the ``"failed"`` status, per-payload SAT
-    throughput rates, and the document-level ``shard`` descriptor plus
-    ``journal_digest`` (SHA-256 of the completion journal that produced the
-    run, ``None`` when it ran unjournalled); version 7 added the
-    robustness verdicts of SMT payloads — ``termination`` (how the search
-    ended, see :data:`repro.core.report.TERMINATIONS`) and
-    ``backend_retries`` (transient SAT-backend failures retried); version
-    8 (default) added the service load-test payloads — ``latency_p50_seconds``
-    / ``latency_p99_seconds`` (nearest-rank request latency percentiles)
-    and ``cache_hit_rate`` (certified-result cache hits over lookups, see
-    :mod:`repro.service.loadtest`).
-    Requesting an older version strips the newer fields so downstream
-    consumers pinned to it keep loading byte-compatible payloads.
+    Besides the results (each with its ``attempts`` count and full
+    payload), the document records the ``shard`` descriptor of the run
+    (:func:`shard_info`) and the ``journal_digest`` — SHA-256 of the
+    completion journal that produced the run, ``None`` when it ran
+    unjournalled.
     """
-    if schema_version not in BENCH_SCHEMA_VERSIONS:
-        raise ValueError(f"unknown bench schema version {schema_version}")
-    serialised = [asdict(result) for result in results]
-    stripped_keys: tuple[str, ...] = ()
-    if schema_version <= 7:
-        stripped_keys += _V8_PAYLOAD_KEYS
-    if schema_version <= 6:
-        stripped_keys += _V7_PAYLOAD_KEYS
-    if schema_version <= 5:
-        stripped_keys += _V6_PAYLOAD_KEYS
-        for entry in serialised:
-            entry.pop("attempts", None)
-    if schema_version <= 4:
-        stripped_keys += _V5_PAYLOAD_KEYS
-    if schema_version <= 3:
-        stripped_keys += _V4_PAYLOAD_KEYS
-    if schema_version <= 2:
-        stripped_keys += _V3_PAYLOAD_KEYS
-    for entry in serialised:
-        for key in stripped_keys:
-            entry["payload"].pop(key, None)
     document = {
-        "version": schema_version,
+        "version": DOCUMENT_VERSION,
         "created_unix": time.time(),
         "num_instances": len(results),
         "num_ok": sum(1 for r in results if r.ok),
-        "results": serialised,
-    }
-    if schema_version >= 6:
-        document["shard"] = (
+        "results": [asdict(result) for result in results],
+        "shard": (
             shard
             if shard is not None
             else shard_info([result.name for result in results])
-        )
-        document["journal_digest"] = (
+        ),
+        "journal_digest": (
             file_digest(journal_path)
             if journal_path is not None and os.path.exists(journal_path)
             else None
-        )
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(document, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+        ),
+    }
+    save_document(document, path)
 
 
 def load_document(path: str | os.PathLike) -> dict:
@@ -984,7 +912,8 @@ def merge_documents(documents: Sequence[dict]) -> dict:
         )
     merged_results = [entries[name] for name in sorted(entries)]
     return {
-        "version": 6,
+        # The union is only as complete as its oldest shard.
+        "version": min(document["version"] for document in documents),
         "created_unix": max(doc.get("created_unix", 0.0) for doc in documents),
         "num_instances": len(merged_results),
         "num_ok": sum(1 for entry in merged_results if entry["status"] == "ok"),
@@ -1053,7 +982,7 @@ def check_bounds_soundness(
     Every ``ok`` SMT result that certified an optimum must satisfy
     ``lower_bound <= num_stages <= upper_bound`` (the upper-bound half only
     when a structured witness existed), and both bounds must carry their
-    certificate provenance (schema v5 ``lower_bound_source`` /
+    certificate provenance (``lower_bound_source`` /
     ``upper_bound_source``).  *expect_clique* maps instance names to the
     minimum lower bound their clique certificate guarantees (the CI gate
     pins the triangle to 3); the check fails when a matching payload

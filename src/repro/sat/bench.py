@@ -209,9 +209,6 @@ def run_microbench(
         "min_speedup": min(cell["speedup"] for cell in results),
         "min_throughput_ratio": min(ratios) if ratios else None,
     }
-    if backends == DEFAULT_BACKENDS:
-        # Historical key of the default flat-vs-reference document.
-        document["flat_faster_everywhere"] = faster_everywhere
     return document
 
 

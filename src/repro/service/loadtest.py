@@ -3,10 +3,9 @@
 ``repro-nasp loadtest`` stands up an in-process service on an ephemeral
 localhost port, fires a seeded mix of requests at it with bounded
 concurrency, and reports p50/p99 end-to-end latency plus the certified-
-result cache hit-rate in the bench JSON schema (v8 payload keys
-``latency_p50_seconds`` / ``latency_p99_seconds`` / ``cache_hit_rate``
-— older schema versions strip them, see
-:func:`repro.evaluation.runner.save_results`).
+result cache hit-rate as a bench JSON payload (keys
+``latency_p50_seconds`` / ``latency_p99_seconds`` / ``cache_hit_rate``,
+persisted by :func:`repro.evaluation.runner.save_results`).
 
 The traffic is the cache's worst honest adversary and best showcase at
 once: every request is a random **qubit relabeling** of one of the named
@@ -93,7 +92,7 @@ def run_loadtest(
     time_limit: Optional[float] = 60.0,
     queue_limit: Optional[int] = None,
 ) -> dict:
-    """Run the load test; returns the schema-v8 payload dict.
+    """Run the load test; returns the bench payload dict.
 
     The service queue is sized to hold the whole request budget by
     default, so the measurement is latency under load, not 503 behaviour

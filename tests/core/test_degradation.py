@@ -148,6 +148,18 @@ def test_transient_only_faults_certify_the_fault_free_optimum(
     assert report.statistics["backend_retries"] > 0
 
 
+def test_cold_start_retries_add_up_over_probes(monkeypatch):
+    """Every cold-start probe runs a solver of its own; the report still
+    counts the retries of all of them (one transient fault per solve)."""
+    monkeypatch.setenv("REPRO_CHAOS_SPEC", "seed=7,transient=1.0,consecutive=1")
+    report = SMTScheduler(
+        strategy="linear", incremental=False, sat_backend="chaos:flat"
+    ).schedule(triangle_problem())
+    assert report.termination == TERMINATION_CERTIFIED
+    assert report.num_horizons > 1
+    assert report.statistics["backend_retries"] == report.num_horizons
+
+
 def test_retry_exhaustion_degrades_with_the_analytic_interval(monkeypatch):
     """A transient streak longer than the retry budget is effectively
     permanent: ``termination="backend-error"``, the analytic interval

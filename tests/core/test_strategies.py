@@ -9,12 +9,12 @@ no-op guarantee of phase hints on SAT/UNSAT answers.
 import pytest
 
 from repro.arch import reduced_layout
-from repro.core.encoding import encode_incremental_problem
+from repro.core.encoding import EncodedInstance, encode_incremental_problem
 from repro.core.problem import SchedulingProblem
-from repro.core.report import SchedulerReport, SchedulerResult
 from repro.core.scheduler import SMTScheduler
 from repro.core.strategies import (
     PortfolioStrategy,
+    SearchContext,
     SearchLimits,
     SearchStrategy,
     available_strategies,
@@ -22,6 +22,7 @@ from repro.core.strategies import (
     register_strategy,
     seeded_phase_hints,
 )
+from repro.core.strategies.base import accumulate_statistics
 from repro.core.strategies.portfolio import DEFAULT_CONFIGS as PORTFOLIO_CONFIGS
 from repro.core.validator import validate_schedule
 from repro.evaluation.runner import SMT_INSTANCES
@@ -102,10 +103,6 @@ def test_bisection_requires_incremental_solving():
         with pytest.raises(ValueError):
             SMTScheduler(strategy=name, incremental=False)
     SMTScheduler(strategy="linear", incremental=False)  # fine
-
-
-def test_report_alias_preserved():
-    assert SchedulerResult is SchedulerReport
 
 
 # --------------------------------------------------------------------------- #
@@ -197,6 +194,86 @@ def test_bisection_probes_stay_within_the_bounds():
         report.lower_bound <= probe <= report.upper_bound
         for probe in report.stages_tried
     )
+
+
+@pytest.mark.parametrize(
+    "strategy, horizons, capacity",
+    [
+        ("linear", [4, 5], None),
+        # Bisection sizes its instance to the witness's 7 stages minus one.
+        ("bisection", [5, 4], 6),
+    ],
+)
+def test_report_statistics_cover_every_probe(strategy, horizons, capacity):
+    """The report's SAT counters sum over the whole search, not just its
+    last probe: replaying the probes by hand on an identical context (the
+    flat core is deterministic) reproduces them as per-probe sums."""
+    problem = tiny_problem("bottom", 3, [(0, 1), (1, 2), (0, 2)])
+    limits = SearchLimits(time_limit=300)
+    report = get_strategy(strategy).run(problem, limits)
+    assert report.stages_tried == horizons
+    context = SearchContext(problem, limits, capacity=capacity)
+    probes = []
+    for horizon in horizons:
+        context.decide(horizon)
+        probes.append(context.statistics())
+    for key in ("sat_conflicts", "sat_decisions"):
+        assert report.statistics[key] == sum(probe[key] for probe in probes)
+    assert report.statistics["solve_seconds"] >= max(
+        probe["solve_seconds"] for probe in probes
+    )
+
+
+@pytest.mark.parametrize(
+    "strategy, incremental",
+    [("linear", True), ("bisection", True), ("linear", False)],
+)
+def test_report_statistics_sum_the_probes_they_saw(strategy, incremental, monkeypatch):
+    """Every probe's counters and encode/solve time reach the report, on the
+    incremental path (one growing instance) and the cold-start one (a fresh
+    encoding per horizon) alike; gauges come from the last probe."""
+    owner = SearchContext if incremental else EncodedInstance
+    probes, original = [], owner.statistics
+    monkeypatch.setattr(
+        owner, "statistics", lambda self: probes.append(original(self)) or probes[-1]
+    )
+    report = get_strategy(strategy).run(
+        tiny_problem("bottom", 3, [(0, 1), (1, 2), (0, 2)]),
+        SearchLimits(time_limit=300, incremental=incremental),
+    )
+    assert len(probes) == len(report.stages_tried) > 1
+    for key in ("sat_conflicts", "sat_decisions", "encode_seconds", "solve_seconds"):
+        assert report.statistics[key] == pytest.approx(sum(p[key] for p in probes))
+    assert report.statistics["sat_variables"] == probes[-1]["sat_variables"]
+
+
+def test_accumulate_statistics_sums_counters_and_keeps_gauges():
+    first = {
+        "solve_seconds": 1.0,
+        "sat_conflicts": 10,
+        "sat_conflicts_per_second": 10.0,
+        "sat_variables": 50,
+        "backend_retries": 1.0,
+    }
+    second = {
+        "solve_seconds": 3.0,
+        "sat_conflicts": 50,
+        "sat_conflicts_per_second": 50 / 3,
+        "sat_variables": 60,
+        "backend_retries": 2.0,
+    }
+    total = accumulate_statistics(accumulate_statistics({}, first), second)
+    assert total == {
+        "solve_seconds": 4.0,
+        "sat_conflicts": 60,
+        "sat_conflicts_per_second": 15.0,
+        "sat_variables": 60,
+        "backend_retries": 2.0,
+    }
+    # A check cut short by an expired deadline repeats the previous
+    # probe's figures; it did no work and adds nothing.
+    expired = accumulate_statistics(total, {**second, "deadline_expired": 1.0})
+    assert expired == {**total, "deadline_expired": 1.0}
 
 
 def test_schedule_metadata_provenance_is_path_independent():

@@ -29,7 +29,6 @@ from repro.evaluation.runner import (
     load_results,
     merge_documents,
     run_batch,
-    save_results,
     shard_info,
     shard_suite,
     smt_suite,
@@ -394,20 +393,10 @@ def test_document_records_shard_journal_digest_and_attempts(tmp_path):
     assert load_results(output)[0].attempts == 1
 
 
-def test_save_results_v5_strips_the_fleet_fields(tmp_path):
-    path = tmp_path / "v5.json"
-    results = run_batch([_selftest("selftest/a", op="ok")], jobs=1)
-    save_results(results, path, schema_version=5)
-    document = load_document(path)
-    assert document["version"] == 5
-    assert "shard" not in document
-    assert "journal_digest" not in document
-    assert "attempts" not in document["results"][0]
-
-
 def test_merge_shard_documents_reproduces_the_unsharded_cell_set(tmp_path):
     cells, paths = _shard_documents(tmp_path, 3)
     merged = merge_documents([load_document(path) for path in paths])
+    assert merged["version"] == 8
     assert merged["num_instances"] == len(cells)
     assert merged["num_ok"] == len(cells)
     assert sorted(e["name"] for e in merged["results"]) == sorted(

@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from repro.evaluation.executor import race_to_first
 from repro.evaluation.runner import (
     BenchInstance,
     BenchResult,
@@ -17,7 +18,6 @@ from repro.evaluation.runner import (
     execute_spec,
     format_batch,
     load_results,
-    race_to_first,
     run_batch,
     save_results,
     smt_suite,
@@ -394,103 +394,58 @@ def _fake_smt_result(
     )
 
 
-#: Which schema-versioned payload keys survive each document version.  The
-#: strip behaviour was previously asymmetric-by-accident (``winner`` and
-#: ``sat_backend`` were gated by separate ad-hoc clauses); this table locks
-#: the cumulative contract: a version keeps exactly the keys introduced at
-#: or below it.
-_SCHEMA_STRIP_TABLE = {
-    2: {"winner": False, "sat_backend": False,
-        "lower_bound_source": False, "upper_bound_source": False,
-        "sat_propagations_per_second": False, "sat_chrono_backtracks": False,
-        "sat_vivified_literals": False, "sat_subsumed_clauses": False,
-        "termination": False, "backend_retries": False,
-        "latency_p50_seconds": False, "latency_p99_seconds": False,
-        "cache_hit_rate": False},
-    3: {"winner": True, "sat_backend": False,
-        "lower_bound_source": False, "upper_bound_source": False,
-        "sat_propagations_per_second": False, "sat_chrono_backtracks": False,
-        "sat_vivified_literals": False, "sat_subsumed_clauses": False,
-        "termination": False, "backend_retries": False,
-        "latency_p50_seconds": False, "latency_p99_seconds": False,
-        "cache_hit_rate": False},
-    4: {"winner": True, "sat_backend": True,
-        "lower_bound_source": False, "upper_bound_source": False,
-        "sat_propagations_per_second": False, "sat_chrono_backtracks": False,
-        "sat_vivified_literals": False, "sat_subsumed_clauses": False,
-        "termination": False, "backend_retries": False,
-        "latency_p50_seconds": False, "latency_p99_seconds": False,
-        "cache_hit_rate": False},
-    5: {"winner": True, "sat_backend": True,
-        "lower_bound_source": True, "upper_bound_source": True,
-        "sat_propagations_per_second": False, "sat_chrono_backtracks": False,
-        "sat_vivified_literals": False, "sat_subsumed_clauses": False,
-        "termination": False, "backend_retries": False,
-        "latency_p50_seconds": False, "latency_p99_seconds": False,
-        "cache_hit_rate": False},
-    6: {"winner": True, "sat_backend": True,
-        "lower_bound_source": True, "upper_bound_source": True,
-        "sat_propagations_per_second": True, "sat_chrono_backtracks": True,
-        "sat_vivified_literals": True, "sat_subsumed_clauses": True,
-        "termination": False, "backend_retries": False,
-        "latency_p50_seconds": False, "latency_p99_seconds": False,
-        "cache_hit_rate": False},
-    7: {"winner": True, "sat_backend": True,
-        "lower_bound_source": True, "upper_bound_source": True,
-        "sat_propagations_per_second": True, "sat_chrono_backtracks": True,
-        "sat_vivified_literals": True, "sat_subsumed_clauses": True,
-        "termination": True, "backend_retries": True,
-        "latency_p50_seconds": False, "latency_p99_seconds": False,
-        "cache_hit_rate": False},
-    8: {"winner": True, "sat_backend": True,
-        "lower_bound_source": True, "upper_bound_source": True,
-        "sat_propagations_per_second": True, "sat_chrono_backtracks": True,
-        "sat_vivified_literals": True, "sat_subsumed_clauses": True,
-        "termination": True, "backend_retries": True,
-        "latency_p50_seconds": True, "latency_p99_seconds": True,
-        "cache_hit_rate": True},
+#: Payload fields beyond the search trajectory, with sample values.
+_PAYLOAD_FIELDS = {
+    "winner": {"strategy": "bisection"},
+    "sat_backend": "flat",
+    "lower_bound_source": "clique+transfer",
+    "upper_bound_source": "structured-airborne",
+    "sat_propagations_per_second": 1.5e6,
+    "sat_chrono_backtracks": 12,
+    "sat_vivified_literals": 7,
+    "sat_subsumed_clauses": 3,
+    "termination": "certified",
+    "backend_retries": 0,
+    "latency_p50_seconds": 0.02,
+    "latency_p99_seconds": 0.09,
+    "cache_hit_rate": 0.5,
 }
 
 
-@pytest.mark.parametrize("version", sorted(_SCHEMA_STRIP_TABLE))
-def test_save_results_version_gates_are_symmetric(version, tmp_path):
-    """Table-driven lock of the schema down-conversion: every versioned key
-    is stripped below its introduction version and kept from it onward."""
-    results = [_fake_smt_result("portfolio", winner={"strategy": "bisection"})]
-    results[0].payload["lower_bound_source"] = "clique+transfer"
-    results[0].payload["upper_bound_source"] = "structured-airborne"
-    results[0].payload["sat_propagations_per_second"] = 1.5e6
-    results[0].payload["sat_chrono_backtracks"] = 12
-    results[0].payload["sat_vivified_literals"] = 7
-    results[0].payload["sat_subsumed_clauses"] = 3
-    results[0].payload["termination"] = "certified"
-    results[0].payload["backend_retries"] = 0
-    results[0].payload["latency_p50_seconds"] = 0.02
-    results[0].payload["latency_p99_seconds"] = 0.09
-    results[0].payload["cache_hit_rate"] = 0.5
-    path = tmp_path / f"v{version}.json"
-    save_results(results, path, schema_version=version)
+def test_save_results_document_carries_every_field(tmp_path):
+    result = _fake_smt_result("portfolio")
+    result.payload.update(_PAYLOAD_FIELDS)
+    path = tmp_path / "run.json"
+    save_results([result], path)
     document = json.loads(path.read_text())
-    assert document["version"] == version
-    payload = document["results"][0]["payload"]
-    for key, kept in _SCHEMA_STRIP_TABLE[version].items():
-        assert (key in payload) is kept, (version, key)
-    # The v6 fleet fields follow the same contract at the entry and
-    # document levels: attempts/shard/journal_digest exist from v6 only.
-    entry = document["results"][0]
-    assert ("attempts" in entry) is (version >= 6)
-    assert ("shard" in document) is (version >= 6)
-    assert ("journal_digest" in document) is (version >= 6)
-    # Stripping happens on the serialised copy, not the live results.
-    for key in _SCHEMA_STRIP_TABLE[version]:
-        assert key in results[0].payload
+    assert document["version"] == 8
+    assert document["shard"]["suite_cells"] == 1
+    assert document["journal_digest"] is None
+    [entry] = document["results"]
+    assert entry["attempts"] == 1
+    assert entry["payload"] == result.payload
 
 
-def test_save_results_rejects_unknown_versions(tmp_path):
-    with pytest.raises(ValueError):
-        save_results(
-            [_fake_smt_result("portfolio")], tmp_path / "v9.json", schema_version=9
-        )
+def test_load_results_tolerates_documents_without_the_newer_fields(tmp_path):
+    """Readers take what a document has: one written before the fleet and
+    robustness fields (no shard, journal digest, attempts or termination)
+    still loads, with the missing ``attempts`` at its default."""
+    path = tmp_path / "old.json"
+    entry = {
+        "name": "smt/linear/bottom/chain-2",
+        "suite": "smt",
+        "status": "ok",
+        "seconds": 0.1,
+        "payload": {"strategy": "linear", "num_stages": 3, "optimal": True},
+        "error": None,
+    }
+    path.write_text(json.dumps(
+        {"version": 5, "num_instances": 1, "num_ok": 1, "results": [entry]}
+    ))
+    [result] = load_results(path)
+    assert result.ok
+    assert result.attempts == 1
+    assert result.payload == entry["payload"]
 
 
 def test_check_portfolio_regression_accepts_matching_batches():

@@ -339,8 +339,6 @@ def test_microbench_compares_any_registered_backend_pair():
     [result] = document["cells"]
     assert result["reference"]["result"] == result["flat"]["result"]
     assert "candidate_faster_everywhere" in document
-    # The legacy alias only exists for the historical default pairing.
-    assert "flat_faster_everywhere" not in document
     with pytest.raises(ValueError, match="itself"):
         compare_cores(scheduling_cnf(**cell), repeats=1, backends=("flat", "flat"))
 

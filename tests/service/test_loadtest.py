@@ -1,7 +1,5 @@
 """Tests for the load-test harness and its bench-schema-v8 payload."""
 
-import json
-
 import pytest
 
 from repro.evaluation.runner import load_document, save_results
@@ -99,22 +97,18 @@ def test_loadtest_end_to_end_reports_latency_and_cache_hits(tmp_path):
     assert payload["latency_p50_seconds"] <= payload["latency_p99_seconds"]
     assert payload["latency_p99_seconds"] <= payload["latency_max_seconds"]
 
-    # The payload round-trips through the bench schema: v8 carries the
-    # latency/cache keys, v7 strips them.
+    # The payload round-trips through the bench document with the
+    # latency/cache keys.
     result = loadtest_result(payload)
     assert result.status == "ok"
-    v8_path = tmp_path / "v8.json"
-    v7_path = tmp_path / "v7.json"
-    save_results([result], v8_path, schema_version=8)
-    save_results([result], v7_path, schema_version=7)
-    v8_doc = load_document(v8_path)
-    v7_doc = json.loads(v7_path.read_text(encoding="utf-8"))
-    assert v8_doc["version"] == 8
-    assert v8_doc["results"][0]["payload"]["cache_hit_rate"] > 0
-    v7_payload = v7_doc["results"][0]["payload"]
+    path = tmp_path / "loadtest.json"
+    save_results([result], path)
+    document = load_document(path)
+    assert document["version"] == 8
+    saved = document["results"][0]["payload"]
+    assert saved["cache_hit_rate"] > 0
     for key in ("latency_p50_seconds", "latency_p99_seconds", "cache_hit_rate"):
-        assert key in v8_doc["results"][0]["payload"]
-        assert key not in v7_payload
+        assert key in saved
 
     text = format_loadtest(payload)
     assert "cache hit-rate" in text

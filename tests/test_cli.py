@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import argparse
 import json
 
 import pytest
@@ -135,34 +136,7 @@ def test_microbench_command_writes_comparison(tmp_path, capsys):
     document = json.loads(output.read_text())
     assert document["backends"] == ["flat", "reference"]
     assert document["candidate_faster_everywhere"] is True
-    assert document["flat_faster_everywhere"] is True  # legacy alias
     assert {cell["flat"]["result"] for cell in document["cells"]} == {"sat", "unsat"}
-
-
-def test_bench_command_schema_version_2_strips_portfolio_fields(tmp_path, capsys):
-    output = tmp_path / "v2.json"
-    assert (
-        main(
-            [
-                "bench",
-                "--suite",
-                "smt",
-                "--strategy",
-                "portfolio",
-                "--timeout",
-                "300",
-                "--output",
-                str(output),
-                "--schema-version",
-                "2",
-            ]
-        )
-        == 0
-    )
-    capsys.readouterr()
-    document = json.loads(output.read_text())
-    assert document["version"] == 2
-    assert all("winner" not in entry["payload"] for entry in document["results"])
 
 
 def test_bounds_command_prints_the_certificate_table(capsys):
@@ -226,6 +200,41 @@ def test_loadtest_command_reports_hit_rate_and_writes_v8(tmp_path, capsys):
     payload = document["results"][0]["payload"]
     assert payload["cache_hit_rate"] > 0
     assert payload["latency_p50_seconds"] <= payload["latency_p99_seconds"]
+
+
+@pytest.mark.parametrize("command", ["bench", "loadtest"])
+def test_commands_write_one_document_shape_only(command):
+    """There is a single bench document; no option selects another."""
+    [subcommands] = [
+        action
+        for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    options = {
+        option
+        for action in subcommands.choices[command]._actions
+        for option in action.option_strings
+    }
+    assert "--output" in options
+    assert not [option for option in options if "version" in option]
+
+
+def test_bench_command_writes_the_current_document(tmp_path, capsys):
+    output = tmp_path / "bench.json"
+    assert main(
+        ["bench", "--suite", "smt", "--strategy", "bisection", "--timeout",
+         "300", "--shard", "0/4", "--output", str(output)]
+    ) == 0
+    capsys.readouterr()
+    document = json.loads(output.read_text())
+    assert document["version"] == 8
+    assert document["shard"]["index"] == 0
+    assert document["shard"]["count"] == 4
+    assert document["journal_digest"] is None
+    assert document["num_ok"] == document["num_instances"] > 0
+    for entry in document["results"]:
+        assert entry["attempts"] == 1
+        assert entry["payload"]["termination"] == "certified"
 
 
 def test_loadtest_command_enforces_min_hit_rate(capsys):
