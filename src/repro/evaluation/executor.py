@@ -27,8 +27,9 @@ while keeping the fleet's fault-tolerance contract:
 
 The pool is single-threaded by design: one owner thread calls
 :meth:`submit`/:meth:`poll`; results are delivered as
-:class:`TaskOutcome` batches from :meth:`poll`.  (The service bridges this
-to asyncio with a dispatcher thread; the bench runner drives it directly.)
+:class:`TaskOutcome` batches from :meth:`poll`.  The bench runner blocks
+in :meth:`poll`; the service's asyncio event loop instead watches
+:meth:`WorkerPool.wait_handles` for readiness and calls ``poll(timeout=0)``.
 """
 
 from __future__ import annotations
@@ -281,6 +282,19 @@ class WorkerPool:
     def backlog_size(self) -> int:
         return len(self._backlog)
 
+    def wait_handles(self) -> list:
+        """Connections and process sentinels of the busy workers.
+
+        One of them becomes readable when a busy worker reports or dies —
+        the moment :meth:`poll` has an outcome to collect.  Handles change
+        whenever a worker is replaced, so take a fresh list after every
+        :meth:`submit`/:meth:`poll`.
+        """
+        busy = [worker for worker in self._workers if worker.task is not None]
+        return [worker.conn for worker in busy] + [
+            worker.process.sentinel for worker in busy
+        ]
+
     def poll(self, timeout: float = 0.2) -> list[TaskOutcome]:
         """Collect finished tasks, enforcing timeouts and crash-restart.
 
@@ -289,10 +303,8 @@ class WorkerPool:
         available event and dispatches backlog tasks onto freed workers.
         Returns immediately with ``[]`` when nothing is in flight.
         """
-        busy = [worker for worker in self._workers if worker.task is not None]
-        if busy and timeout > 0:
-            handles = [worker.conn for worker in busy]
-            handles += [worker.process.sentinel for worker in busy]
+        handles = self.wait_handles()
+        if handles and timeout > 0:
             connection_wait(handles, timeout=timeout)
         now = time.monotonic()
         outcomes: list[TaskOutcome] = []

@@ -28,8 +28,9 @@ from repro.core.report import TERMINATION_CERTIFIED
 class CertifiedResultCache:
     """In-memory (optionally file-backed) certified-result store.
 
-    Thread-safe: the service reads from the event loop thread while the
-    dispatcher thread records solver results.
+    Thread-safe: the service reads and records results on its event-loop
+    thread, and the lock keeps a cache shared with other threads
+    consistent.
     """
 
     def __init__(self, path: str | os.PathLike | None = None):

@@ -39,14 +39,20 @@ Endpoints
 
 Architecture: requests land on the asyncio event loop, which performs
 validation, canonicalisation and cache lookups inline (cheap, pure
-Python).  Misses are pushed onto a **bounded** ``queue.Queue`` consumed
-by a dispatcher thread that feeds the persistent
-:class:`~repro.evaluation.executor.WorkerPool` and routes each
-:class:`~repro.evaluation.executor.TaskOutcome` back to its request's
-``asyncio.Queue`` via ``call_soon_threadsafe`` — the event loop never
-blocks on the solver, and backpressure is a 503, not an unbounded buffer.
-A worker crash mid-solve degrades that one request to ``termination:
-"backend-error"`` while the pool replaces the worker underneath.
+Python) and is the single owner of the persistent
+:class:`~repro.evaluation.executor.WorkerPool` — there is no dispatcher
+thread.  A miss joins a **bounded** list of waiting jobs and is handed to
+a worker on the next loop turn if one is idle.  The loop watches the
+busy workers' pipes and process sentinels with ``add_reader``; when one
+turns readable it collects the
+:class:`~repro.evaluation.executor.TaskOutcome` with a non-blocking poll,
+routes it to its request's ``asyncio.Queue`` and hands the freed worker
+the next waiting job.  A timer enforces the harness timeout, the one
+event no file descriptor signals.  Nothing sleeps on a fixed interval,
+the loop never blocks on the solver, and backpressure is a 503, not an
+unbounded buffer.  A worker crash mid-solve degrades that one request to
+``termination: "backend-error"`` while the pool replaces the worker
+underneath.
 """
 
 from __future__ import annotations
@@ -55,10 +61,9 @@ import asyncio
 import itertools
 import json
 import os
-import queue
-import threading
 import time
 import uuid
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -241,36 +246,31 @@ def _warm_service_worker() -> None:
 
 
 # --------------------------------------------------------------------------- #
-# Service core (pool + queue + dispatcher)
+# Service core (pool + waiting jobs, driven by the event loop)
 # --------------------------------------------------------------------------- #
 @dataclass
 class _ServiceJob:
-    """One queued request: its spec plus the route back to its stream."""
+    """One accepted request: its spec plus the route back to its stream."""
 
     request_id: str
     spec: dict
     timeout: Optional[float]
-    loop: asyncio.AbstractEventLoop
-    outcomes: "asyncio.Queue[TaskOutcome]" = field(default=None)  # type: ignore[assignment]
-
-    def deliver(self, outcome: TaskOutcome) -> None:
-        """Called from the dispatcher thread; hops onto the event loop."""
-        try:
-            self.loop.call_soon_threadsafe(self.outcomes.put_nowait, outcome)
-        except RuntimeError:
-            pass  # loop already closed: the client is gone
+    outcomes: "asyncio.Queue[TaskOutcome]" = field(default_factory=asyncio.Queue)
+    #: ``loop.time()`` at which the harness timeout passes (set on dispatch).
+    expires: Optional[float] = None
 
 
 class SchedulingService:
-    """The service core: bounded queue, dispatcher thread, pool, cache.
+    """The service core: waiting jobs, worker pool and cache, on one loop.
 
-    Single process, three kinds of threads: the asyncio event loop calls
-    :meth:`try_submit` / cache lookups; the dispatcher thread moves jobs
-    from the bounded queue onto idle pool workers and routes outcomes
-    back; the pool's workers solve.  ``queue_limit`` bounds *waiting*
-    requests — when every worker is busy and the queue is full,
-    :meth:`try_submit` refuses and the server answers 503 instead of
-    accumulating unbounded work it cannot finish.
+    The core has no thread of its own: the asyncio event loop that calls
+    :meth:`try_submit` owns the pool.  It hands waiting jobs to idle
+    workers, is woken by the busy workers' readiness (or the
+    harness-timeout timer) and routes each outcome back to its request.
+    ``queue_limit`` bounds *waiting* requests — when every worker is busy
+    and the queue is full, :meth:`try_submit` refuses and the server
+    answers 503 instead of accumulating unbounded work it cannot finish.
+    Every method must be called from that loop's thread.
     """
 
     def __init__(
@@ -315,71 +315,69 @@ class SchedulingService:
         self._pool = WorkerPool(
             jobs, warmup=_warm_service_worker if warm else None, name="service"
         )
-        self._queue: "queue.Queue[_ServiceJob]" = queue.Queue(
-            maxsize=self.queue_limit
-        )
+        self._waiting: deque[_ServiceJob] = deque()
         self._inflight: dict[int, _ServiceJob] = {}
+        self._loop: Optional[asyncio.AbstractEventLoop] = None
+        self._watched: list[int] = []  # fds registered with add_reader
+        self._timer: Optional[asyncio.TimerHandle] = None
         # Request ids carry a per-instance token so ids from successive
         # service lives never collide in a shared ledger file.
         self._instance = uuid.uuid4().hex[:8]
         self._request_ids = itertools.count(1)
-        self._stop = threading.Event()
-        self._dispatcher = threading.Thread(
-            target=self._dispatch_loop, name="service-dispatch", daemon=True
-        )
-        self._started = False
         self._closed = False
 
     # ------------------------------------------------------------------ #
     # Lifecycle
     # ------------------------------------------------------------------ #
-    def start(self) -> None:
-        if not self._started:
-            self._started = True
-            self._dispatcher.start()
-
     def close(self) -> None:
+        """Fail every waiting and in-flight job, then stop the pool."""
         if self._closed:
             return
         self._closed = True
-        self._stop.set()
-        if self._started:
-            self._dispatcher.join(timeout=30.0)
+        drained = list(self._inflight.values()) + list(self._waiting)
+        self._inflight.clear()
+        self._waiting.clear()
+        self._unwatch()
+        for job in drained:
+            _fail_shutting_down(job)
         self._pool.shutdown()
         if self.ledger is not None:
             self.ledger.close()
         self.cache.close()
 
     def __enter__(self) -> "SchedulingService":
-        self.start()
         return self
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
 
     # ------------------------------------------------------------------ #
-    # Event-loop side
+    # Requests
     # ------------------------------------------------------------------ #
     def next_request_id(self) -> str:
         return f"req-{self._instance}-{next(self._request_ids):06d}"
 
     def try_submit(self, request_id: str, spec: dict) -> Optional[_ServiceJob]:
-        """Queue a solve; returns None when the bounded queue is full."""
-        job = _ServiceJob(
-            request_id=request_id,
-            spec=spec,
-            timeout=self.hard_timeout,
-            loop=asyncio.get_running_loop(),
-        )
-        job.outcomes = asyncio.Queue()
-        try:
-            self._queue.put_nowait(job)
-        except queue.Full:
+        """Queue a solve; returns None when the bounded queue is full.
+
+        The job reaches an idle worker on the next turn of the loop, so
+        the caller can stream its ``accepted`` event first.
+        """
+        if len(self._waiting) >= self.queue_limit:
             return None
+        job = _ServiceJob(
+            request_id=request_id, spec=spec, timeout=self.hard_timeout
+        )
+        if self._closed:
+            _fail_shutting_down(job)
+            return job
+        self._loop = asyncio.get_running_loop()
+        self._waiting.append(job)
+        self._loop.call_soon(self._pump)
         return job
 
     def queue_depth(self) -> int:
-        return self._queue.qsize()
+        return len(self._waiting)
 
     def health(self) -> dict:
         pool_stats = self._pool.stats()
@@ -388,7 +386,7 @@ class SchedulingService:
             "status": "ok" if any(w["alive"] for w in workers) else "degraded",
             "workers": workers,
             "pool": pool_stats,
-            "queue": {"depth": self._queue.qsize(), "limit": self.queue_limit},
+            "queue": {"depth": len(self._waiting), "limit": self.queue_limit},
             "cache": self.cache.stats(),
             "counters": dict(self.counters),
         }
@@ -398,48 +396,68 @@ class SchedulingService:
             "counters": dict(self.counters),
             "cache": self.cache.stats(),
             "pool": self._pool.stats(),
-            "queue": {"depth": self._queue.qsize(), "limit": self.queue_limit},
+            "queue": {"depth": len(self._waiting), "limit": self.queue_limit},
         }
 
     # ------------------------------------------------------------------ #
-    # Dispatcher thread
+    # Dispatch (event-loop callbacks)
     # ------------------------------------------------------------------ #
-    def _dispatch_loop(self) -> None:
-        while not self._stop.is_set():
-            moved = False
-            while self._pool.idle_count() > 0:
-                try:
-                    job = self._queue.get_nowait()
-                except queue.Empty:
-                    break
-                task_id = self._pool.submit(
-                    _execute_service_solve, job.spec, timeout=job.timeout
-                )
-                self._inflight[task_id] = job
-                moved = True
-            events = self._pool.poll(timeout=0.05)
-            for event in events:
-                job = self._inflight.pop(event.task_id)
-                job.deliver(event)
-            if not moved and not events and self._pool.busy_count() == 0:
-                self._stop.wait(0.02)
-        # Shutdown: fail whatever is still queued or in flight so no
-        # stream hangs waiting for an outcome that will never come.
-        drained = list(self._inflight.values())
-        self._inflight.clear()
-        while True:
-            try:
-                drained.append(self._queue.get_nowait())
-            except queue.Empty:
-                break
-        for job in drained:
-            job.deliver(
-                TaskOutcome(
-                    task_id=-1,
-                    status="error",
-                    error="service shutting down",
-                )
+    def _pump(self) -> None:
+        """Hand waiting jobs to idle workers, then re-arm the wake-ups."""
+        if self._closed:
+            return
+        while self._waiting and self._pool.idle_count() > 0:
+            job = self._waiting.popleft()
+            task_id = self._pool.submit(
+                _execute_service_solve, job.spec, timeout=job.timeout
             )
+            if job.timeout is not None:
+                job.expires = self._loop.time() + job.timeout
+            self._inflight[task_id] = job
+        self._watch()
+
+    def _on_ready(self) -> None:
+        """A busy worker reported or died, or a harness timeout passed."""
+        for outcome in self._pool.poll(timeout=0):
+            self._inflight.pop(outcome.task_id).outcomes.put_nowait(outcome)
+        self._pump()
+
+    def _watch(self) -> None:
+        """Wake on the busy workers' handles and the earliest harness timeout.
+
+        Readers are registered from scratch each time: a replaced worker's
+        pipe may reuse a closed descriptor's number, and a stale
+        registration would never fire for it.
+        """
+        self._unwatch()
+        self._watched = [
+            handle if isinstance(handle, int) else handle.fileno()
+            for handle in self._pool.wait_handles()
+        ]
+        for fd in self._watched:
+            self._loop.add_reader(fd, self._on_ready)
+        expiries = [
+            job.expires
+            for job in self._inflight.values()
+            if job.expires is not None
+        ]
+        if expiries:
+            self._timer = self._loop.call_at(min(expiries), self._on_ready)
+
+    def _unwatch(self) -> None:
+        for fd in self._watched:
+            self._loop.remove_reader(fd)
+        self._watched = []
+        if self._timer is not None:
+            self._timer.cancel()
+            self._timer = None
+
+
+def _fail_shutting_down(job: _ServiceJob) -> None:
+    """End *job*'s stream with a backend error: no stream hangs on close."""
+    job.outcomes.put_nowait(
+        TaskOutcome(task_id=-1, status="error", error="service shutting down")
+    )
 
 
 # --------------------------------------------------------------------------- #
@@ -836,7 +854,6 @@ async def start_service(
 ) -> RunningService:
     """Start a service and its HTTP server on *host*:*port* (0 = ephemeral)."""
     service = SchedulingService(**config)
-    service.start()
     server = ServiceServer(service, host=host, port=port)
     try:
         await server.start()

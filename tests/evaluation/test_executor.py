@@ -8,6 +8,7 @@ clean and idempotent.
 """
 
 import time
+from multiprocessing.connection import wait as connection_wait
 
 import pytest
 
@@ -136,6 +137,24 @@ def test_pool_health_and_stats_shape():
         assert stats["workers_spawned"] == 2
         assert stats["busy"] == 0
         assert pool.idle_count() == 2
+
+
+def test_wait_handles_are_the_busy_workers_connection_and_sentinel():
+    with WorkerPool(2) as pool:
+        assert pool.wait_handles() == []
+        task_id = pool.submit(execute_spec, _selftest("ok", value=3))
+        (busy,) = [worker for worker in pool._workers if worker.task is not None]
+        handles = pool.wait_handles()
+        assert handles == [busy.conn, busy.process.sentinel]
+        # The worker's report makes a handle ready; from then on a
+        # zero-timeout poll collects the outcome without blocking.
+        assert connection_wait(handles, timeout=60.0)
+        started = time.monotonic()
+        (outcome,) = pool.poll(timeout=0)
+        assert time.monotonic() - started < 0.5
+        assert outcome.task_id == task_id
+        assert outcome.status == TASK_OK
+        assert pool.wait_handles() == []
 
 
 def test_pool_shutdown_is_idempotent():

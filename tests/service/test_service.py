@@ -11,7 +11,14 @@ import asyncio
 
 from repro.core.report import TERMINATION_CERTIFIED
 from repro.evaluation.runner import SMT_INSTANCES
-from repro.service import get_json, load_ledger, start_service, stream_schedule
+from repro.evaluation.executor import TASK_OK
+from repro.service import (
+    SchedulingService,
+    get_json,
+    load_ledger,
+    start_service,
+    stream_schedule,
+)
 from repro.service.server import TERMINATION_PENDING
 
 #: Triangle under the relabeling 0->2, 1->0, 2->1 with shuffled gate and
@@ -283,6 +290,97 @@ def test_worker_crash_degrades_request_but_not_the_pool():
         assert all(worker["alive"] for worker in health["workers"])
 
     _run(scenario, jobs=1, allow_selftest=True, default_time_limit=60.0)
+
+
+# --------------------------------------------------------------------------- #
+# Event-driven dispatch: immediate hand-off, harness timeout, shutdown
+# --------------------------------------------------------------------------- #
+def test_idle_pool_takes_a_submitted_job_on_the_next_loop_turn():
+    async def scenario():
+        service = SchedulingService(jobs=1)
+        try:
+            job = service.try_submit(
+                service.next_request_id(), {"problem": _doc("triangle")}
+            )
+            # No polling interval sits between a miss and an idle worker:
+            # one loop turn later the job is running, not waiting.
+            await asyncio.sleep(0)
+            stats = service.stats()
+            assert stats["queue"]["depth"] == 0
+            assert stats["pool"]["busy"] == 1
+            outcome = await asyncio.wait_for(job.outcomes.get(), timeout=60.0)
+            assert outcome.status == TASK_OK
+            assert outcome.value["termination"] == TERMINATION_CERTIFIED
+        finally:
+            service.close()
+
+    asyncio.run(scenario())
+
+
+def test_harness_timeout_ends_an_overrunning_request():
+    async def scenario(running):
+        # An overrunning worker makes no descriptor readable: only the
+        # service's timer can end this request.
+        status, events = await asyncio.wait_for(
+            stream_schedule(
+                running.host,
+                running.port,
+                _doc("single-gate", selftest={"op": "sleep", "seconds": 30}),
+            ),
+            timeout=5.0,
+        )
+        assert status == 200
+        result = events[-1]
+        assert result["event"] == "result"
+        assert result["termination"] == "deadline"
+        assert result["found"] is False
+
+        _status, health = await get_json(
+            running.host, running.port, "/v1/healthz"
+        )
+        assert health["pool"]["worker_restarts"] == 1
+        # The replacement worker certifies the next request.
+        status, events = await stream_schedule(
+            running.host, running.port, _doc("triangle")
+        )
+        assert status == 200
+        assert events[-1]["termination"] == TERMINATION_CERTIFIED
+
+    # The triangle solve takes about 0.5 s on a 2-vCPU host, so the harness
+    # timeout leaves it a wide margin while the sleeper still ends within 5 s.
+    _run(scenario, jobs=1, hard_timeout=2.0, allow_selftest=True)
+
+
+def test_close_ends_in_flight_and_queued_streams():
+    async def scenario(running):
+        sleeper = _doc("single-gate", selftest={"op": "sleep", "seconds": 30})
+        in_flight = asyncio.ensure_future(
+            stream_schedule(running.host, running.port, sleeper)
+        )
+        await _wait_for(lambda s: s["pool"]["busy"] == 1, running)
+        queued = asyncio.ensure_future(
+            stream_schedule(running.host, running.port, sleeper)
+        )
+        await _wait_for(lambda s: s["queue"]["depth"] == 1, running)
+
+        running.service.close()
+        for task in (in_flight, queued):
+            status, events = await asyncio.wait_for(task, timeout=5.0)
+            assert status == 200
+            result = events[-1]
+            assert result["event"] == "result"
+            assert result["termination"] == "backend-error"
+            assert result["error"] == "service shutting down"
+
+        # A miss that reaches the closed service is answered, not parked.
+        status, events = await asyncio.wait_for(
+            stream_schedule(running.host, running.port, _doc("triangle")),
+            timeout=5.0,
+        )
+        assert status == 200
+        assert events[-1]["error"] == "service shutting down"
+
+    _run(scenario, jobs=1, queue_limit=2, allow_selftest=True)
 
 
 def test_selftest_ops_are_rejected_unless_enabled():
