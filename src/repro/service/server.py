@@ -256,8 +256,6 @@ class _ServiceJob:
     spec: dict
     timeout: Optional[float]
     outcomes: "asyncio.Queue[TaskOutcome]" = field(default_factory=asyncio.Queue)
-    #: ``loop.time()`` at which the harness timeout passes (set on dispatch).
-    expires: Optional[float] = None
 
 
 class SchedulingService:
@@ -270,7 +268,9 @@ class SchedulingService:
     ``queue_limit`` bounds *waiting* requests — when every worker is busy
     and the queue is full, :meth:`try_submit` refuses and the server
     answers 503 instead of accumulating unbounded work it cannot finish.
-    Every method must be called from that loop's thread.
+    Replacing a crashed or overrunning worker (terminate, join, fork) also
+    runs on the loop and stalls it for a few milliseconds, cache hits
+    included.  Every method must be called from that loop's thread.
     """
 
     def __init__(
@@ -319,7 +319,6 @@ class SchedulingService:
         self._inflight: dict[int, _ServiceJob] = {}
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._watched: list[int] = []  # fds registered with add_reader
-        self._timer: Optional[asyncio.TimerHandle] = None
         # Request ids carry a per-instance token so ids from successive
         # service lives never collide in a shared ledger file.
         self._instance = uuid.uuid4().hex[:8]
@@ -411,19 +410,28 @@ class SchedulingService:
             task_id = self._pool.submit(
                 _execute_service_solve, job.spec, timeout=job.timeout
             )
-            if job.timeout is not None:
-                job.expires = self._loop.time() + job.timeout
             self._inflight[task_id] = job
+            if job.timeout is not None:
+                # The pool starts the task's clock inside submit(), so this
+                # timer always fires after the pool deems the task overdue;
+                # a timer for a task that already finished is a no-op poll.
+                self._loop.call_later(job.timeout, self._on_ready)
         self._watch()
 
     def _on_ready(self) -> None:
         """A busy worker reported or died, or a harness timeout passed."""
+        if self._closed:
+            return
+        # Unregister before poll(): replacing a worker closes its pipe and
+        # sentinel, and an epoll registration of a closed descriptor that
+        # a forked child still holds open would stay readable forever.
+        self._unwatch()
         for outcome in self._pool.poll(timeout=0):
             self._inflight.pop(outcome.task_id).outcomes.put_nowait(outcome)
         self._pump()
 
     def _watch(self) -> None:
-        """Wake on the busy workers' handles and the earliest harness timeout.
+        """Wake on the busy workers' pipes and process sentinels.
 
         Readers are registered from scratch each time: a replaced worker's
         pipe may reuse a closed descriptor's number, and a stale
@@ -436,21 +444,11 @@ class SchedulingService:
         ]
         for fd in self._watched:
             self._loop.add_reader(fd, self._on_ready)
-        expiries = [
-            job.expires
-            for job in self._inflight.values()
-            if job.expires is not None
-        ]
-        if expiries:
-            self._timer = self._loop.call_at(min(expiries), self._on_ready)
 
     def _unwatch(self) -> None:
         for fd in self._watched:
             self._loop.remove_reader(fd)
         self._watched = []
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
 
 
 def _fail_shutting_down(job: _ServiceJob) -> None:

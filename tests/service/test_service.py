@@ -8,6 +8,7 @@ crash containment.
 """
 
 import asyncio
+import time
 
 from repro.core.report import TERMINATION_CERTIFIED
 from repro.evaluation.runner import SMT_INSTANCES
@@ -58,6 +59,17 @@ async def _wait_for(predicate, running, deadline=30.0):
             return stats
         await asyncio.sleep(0.05)
     raise AssertionError("condition not reached before the deadline")
+
+
+async def _assert_loop_idle():
+    """Fail if the event loop burns CPU while nothing is in flight.
+
+    A replaced worker's descriptors must leave the loop's selector: a stale
+    registration reads as EOF forever and spins the loop.
+    """
+    cpu = time.process_time()
+    await asyncio.sleep(0.5)
+    assert time.process_time() - cpu < 0.25
 
 
 # --------------------------------------------------------------------------- #
@@ -272,6 +284,7 @@ def test_worker_crash_degrades_request_but_not_the_pool():
         assert result["termination"] == "backend-error"
         assert result["found"] is False
         assert "crashed" in result["error"]
+        await _assert_loop_idle()
 
         # The pool replaced the dead worker underneath: the next request
         # on the same service certifies normally.
@@ -339,6 +352,7 @@ def test_harness_timeout_ends_an_overrunning_request():
             running.host, running.port, "/v1/healthz"
         )
         assert health["pool"]["worker_restarts"] == 1
+        await _assert_loop_idle()
         # The replacement worker certifies the next request.
         status, events = await stream_schedule(
             running.host, running.port, _doc("triangle")
