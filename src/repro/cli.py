@@ -24,8 +24,6 @@ Examples
     repro-nasp bench-trend baseline.json merged.json --json BENCH_TREND.json
     repro-nasp microbench --output microbench.json
     repro-nasp microbench --backend dimacs-subprocess flat
-    repro-nasp microbench --chrono --output chrono.json
-    repro-nasp schedule steane --strategy bisection --sat-chrono off
 """
 
 from __future__ import annotations
@@ -124,21 +122,6 @@ def build_parser() -> argparse.ArgumentParser:
         f"{', '.join(available_backends())}; default: the in-process "
         "flat-array core; 'chaos:BACKEND' wraps BACKEND in the "
         "fault-injection proxy)",
-    )
-    schedule.add_argument(
-        "--sat-chrono",
-        choices=["auto", "on", "off"],
-        default="auto",
-        help="chronological backtracking in the flat SAT core (auto: the "
-        "backend default, currently on); a pure search heuristic — answers "
-        "never change",
-    )
-    schedule.add_argument(
-        "--sat-inprocessing",
-        choices=["auto", "on", "off"],
-        default="auto",
-        help="inprocessing (clause vivification + subsumption) in the flat "
-        "SAT core (auto: the backend default, currently on)",
     )
     schedule.add_argument("--json", action="store_true", help="dump the schedule as JSON")
     schedule.add_argument(
@@ -341,14 +324,6 @@ def build_parser() -> argparse.ArgumentParser:
         "baseline for a zero exit code (default: flat reference)",
     )
     microbench.add_argument(
-        "--chrono",
-        action="store_true",
-        help="run the chronological-backtracking gate instead: the flat "
-        "core with chrono + inprocessing (its defaults) vs the same core "
-        "with both off, UNSAT cells gating on improvement and SAT cells on "
-        "no-regression (--backend is ignored)",
-    )
-    microbench.add_argument(
         "--output", default=None, help="persist the comparison as JSON to this path"
     )
 
@@ -456,11 +431,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _tristate(value: str) -> bool | None:
-    """Map an ``auto``/``on``/``off`` CLI choice to ``None``/``True``/``False``."""
-    return None if value == "auto" else value == "on"
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point."""
     parser = build_parser()
@@ -515,8 +485,6 @@ def main(argv: Sequence[str] | None = None) -> int:
                     strategy=args.strategy,
                     time_limit_per_instance=args.timeout,
                     sat_backend=args.sat_backend,
-                    sat_chrono=_tristate(args.sat_chrono),
-                    sat_inprocessing=_tristate(args.sat_inprocessing),
                     deadline=args.deadline,
                 )
             except ValueError as exc:
@@ -806,30 +774,18 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 0 if report.ok else 1
 
     if args.command == "microbench":
-        from repro.sat.bench import (
-            format_chrono_microbench,
-            format_microbench,
-            run_chrono_microbench,
-            run_microbench,
-        )
+        from repro.sat.bench import format_microbench, run_microbench
 
         try:
-            if args.chrono:
-                document = run_chrono_microbench()
-            else:
-                document = run_microbench(
-                    backends=tuple(args.backends) if args.backends else None
-                )
+            document = run_microbench(
+                backends=tuple(args.backends) if args.backends else None
+            )
         except (ValueError, RuntimeError) as exc:
             # E.g. a backend compared with itself, or one whose solver
             # binary is missing.
             print(f"error: {exc}", file=sys.stderr)
             return 1
-        print(
-            format_chrono_microbench(document)
-            if args.chrono
-            else format_microbench(document)
-        )
+        print(format_microbench(document))
         if args.output:
             try:
                 with open(args.output, "w", encoding="utf-8") as handle:
@@ -840,10 +796,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                 return 1
             print(f"comparison written to {args.output}")
         # Non-zero exit = the candidate did not beat the baseline (default
-        # pairing: a propagation-throughput regression of the flat core;
-        # --chrono: the chronological-backtracking gate failed).
-        if args.chrono:
-            return 0 if document["chrono_gate_passed"] else 1
+        # pairing: a propagation-throughput regression of the flat core).
         return 0 if document["candidate_faster_everywhere"] else 1
 
     if args.command == "serve":

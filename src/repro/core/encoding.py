@@ -209,7 +209,6 @@ def encode_instance(
     num_stages: int,
     shielding: bool | None = None,
     backend: str | None = None,
-    backend_options: dict | None = None,
     backend_retries: int | None = None,
 ) -> EncodedInstance:
     """Build the symbolic formulation for a fixed stage count.
@@ -217,7 +216,6 @@ def encode_instance(
     *shielding* defaults to "the architecture has a storage zone", matching
     the paper's handling of Layout 1 (footnote 2).  *backend* selects the
     SAT backend by registry name (default: the in-process flat core);
-    *backend_options* tunes it (e.g. ``chrono`` / ``inprocessing``);
     *backend_retries* bounds per-check transient-failure retries (``None``
     keeps the solver default).
     """
@@ -226,7 +224,6 @@ def encode_instance(
         shielding = architecture.has_storage
     solver = Solver(
         backend=backend,
-        backend_options=backend_options,
         **({} if backend_retries is None else {"backend_retries": backend_retries}),
     )
     variables = StatePrepVariables.create(
@@ -252,7 +249,6 @@ def encode_incremental_instance(
     max_stages: int,
     shielding: bool | None = None,
     backend: str | None = None,
-    backend_options: dict | None = None,
     backend_retries: int | None = None,
 ) -> IncrementalInstance:
     """Build a growable instance starting at *num_stages* stages.
@@ -260,7 +256,6 @@ def encode_incremental_instance(
     The instance can later be extended up to *max_stages* stages without
     re-encoding the stages that already exist.  *backend* selects the SAT
     backend by registry name (default: the in-process flat core);
-    *backend_options* tunes it (e.g. ``chrono`` / ``inprocessing``);
     *backend_retries* bounds per-check transient-failure retries (``None``
     keeps the solver default).
     """
@@ -270,7 +265,6 @@ def encode_incremental_instance(
     solver = Solver(
         incremental=True,
         backend=backend,
-        backend_options=backend_options,
         **({} if backend_retries is None else {"backend_retries": backend_retries}),
     )
     variables = StatePrepVariables.create(
@@ -296,7 +290,6 @@ def encode_problem(
     problem: "SchedulingProblem",
     num_stages: int,
     backend: str | None = None,
-    backend_options: dict | None = None,
     backend_retries: int | None = None,
 ) -> EncodedInstance:
     """Cold-start encoding of a :class:`SchedulingProblem` at a fixed S."""
@@ -307,7 +300,6 @@ def encode_problem(
         num_stages,
         shielding=problem.shielding,
         backend=backend,
-        backend_options=backend_options,
         backend_retries=backend_retries,
     )
 
@@ -317,7 +309,6 @@ def encode_incremental_problem(
     num_stages: int,
     max_stages: int,
     backend: str | None = None,
-    backend_options: dict | None = None,
     backend_retries: int | None = None,
 ) -> IncrementalInstance:
     """Growable encoding of a :class:`SchedulingProblem`."""
@@ -329,7 +320,6 @@ def encode_incremental_problem(
         max_stages=max_stages,
         shielding=problem.shielding,
         backend=backend,
-        backend_options=backend_options,
         backend_retries=backend_retries,
     )
 

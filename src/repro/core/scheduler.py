@@ -74,8 +74,6 @@ class SMTScheduler:
         strategy: str = "linear",
         phase_seed: Optional[int] = None,
         sat_backend: Optional[str] = None,
-        sat_chrono: Optional[bool] = None,
-        sat_inprocessing: Optional[bool] = None,
         deadline: Optional[float] = None,
         backend_retries: Optional[int] = None,
     ) -> None:
@@ -114,8 +112,6 @@ class SMTScheduler:
             incremental=incremental,
             phase_seed=phase_seed,
             sat_backend=sat_backend,
-            sat_chrono=sat_chrono,
-            sat_inprocessing=sat_inprocessing,
             backend_retries=backend_retries,
         )
 

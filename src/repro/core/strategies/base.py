@@ -70,15 +70,6 @@ class SearchLimits:
     #: the knob trades speed, never answers — which is what lets the
     #: portfolio race backends as variants alongside phase seeds.
     sat_backend: Optional[str] = None
-    #: Chronological backtracking in the flat core: ``None`` keeps the
-    #: backend's default (on), ``False`` forces the pre-chrono backjumping
-    #: search.  A pure search heuristic — answers never change — forwarded
-    #: through :func:`repro.sat.backend.create_backend` and silently dropped
-    #: by backends without the knob.
-    sat_chrono: Optional[bool] = None
-    #: Inprocessing (clause vivification + subsumption) in the flat core;
-    #: same ``None``/``True``/``False`` semantics as :attr:`sat_chrono`.
-    sat_inprocessing: Optional[bool] = None
     #: Whole-search wall-clock governance (:class:`repro.core.budget.Deadline`).
     #: Unlike :attr:`time_limit` — a *per-probe* cap handed identically to
     #: every probe — the deadline is absolute: every probe's effective time
@@ -90,16 +81,6 @@ class SearchLimits:
     #: Per-check retry budget for transient SAT-backend failures (``None``
     #: keeps :data:`repro.smt.solver.DEFAULT_BACKEND_RETRIES`).
     backend_retries: Optional[int] = None
-
-    @property
-    def sat_backend_options(self) -> dict:
-        """The backend factory options encoded in these limits."""
-        options: dict = {}
-        if self.sat_chrono is not None:
-            options["chrono"] = self.sat_chrono
-        if self.sat_inprocessing is not None:
-            options["inprocessing"] = self.sat_inprocessing
-        return options
 
 
 class SearchContext:
@@ -184,7 +165,6 @@ class SearchContext:
             num_stages=horizon,
             max_stages=max(capacity, horizon),
             backend=self.limits.sat_backend,
-            backend_options=self.limits.sat_backend_options or None,
             backend_retries=self.limits.backend_retries,
         )
         if self._hint_provider is not None:

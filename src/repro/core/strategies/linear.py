@@ -101,7 +101,6 @@ class LinearStrategy(SearchStrategy):
                         problem,
                         num_stages,
                         backend=limits.sat_backend,
-                        backend_options=limits.sat_backend_options or None,
                         backend_retries=limits.backend_retries,
                     )
                     result = instance.check(

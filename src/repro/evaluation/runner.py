@@ -468,17 +468,10 @@ def _execute_smt(spec: dict) -> dict:
         "termination": report.termination,
         "backend_retries": int(report.statistics.get("backend_retries", 0)),
     }
-    # Hot-loop telemetry of the deciding SAT backend (rates and
-    # search/inprocessing counters summed over every probe of the search),
-    # when the backend keeps them — the trend tool tracks these across
-    # commits.
-    for key in (
-        "sat_propagations_per_second",
-        "sat_conflicts_per_second",
-        "sat_chrono_backtracks",
-        "sat_vivified_literals",
-        "sat_subsumed_clauses",
-    ):
+    # Hot-loop throughput of the deciding SAT backend (rates over every
+    # probe of the search), when the backend keeps them — the trend tool
+    # tracks these across commits.
+    for key in ("sat_propagations_per_second", "sat_conflicts_per_second"):
         if key in report.statistics:
             payload[key] = report.statistics[key]
     if report.winner is not None:

@@ -28,11 +28,7 @@ Built-in backends:
 
 =====================  =====================================================
 ``flat`` (default)     :class:`repro.sat.solver.CDCLSolver`, the flat-array
-                       hot-path rewrite (chronological backtracking and
-                       inprocessing on; both tunable via backend options)
-``flat-nochrono``      the same core with chronological backtracking and
-                       inprocessing hard-disabled — the microbench baseline
-                       proving the knobs keep paying for themselves
+                       hot-path rewrite
 ``reference``          :class:`repro.sat.reference.ReferenceCDCLSolver`, the
                        preserved seed core (differential oracle / baseline)
 ``ipasir``             :class:`repro.sat.ipasir.IpasirBackend`, a ctypes
@@ -168,9 +164,7 @@ class BackendInfo:
     #: out: it exists to stay slow, racing it only burns a worker.
     race_variant: bool = True
     #: Keyword options the factory accepts.  :func:`create_backend` forwards
-    #: only these and silently drops the rest: backend options tune search
-    #: heuristics, never semantics, so a backend that lacks a knob simply
-    #: runs without it (mirroring how phase hints degrade).
+    #: only these and silently drops the rest.
     option_names: tuple[str, ...] = ()
     #: Whether ``name:argument`` lookups derive a parameterised entry whose
     #: factory receives the argument as ``inner=`` (e.g. ``chaos:flat``
@@ -234,11 +228,10 @@ def backend_info(name: Optional[str] = None) -> BackendInfo:
 def create_backend(name: Optional[str] = None, **options: object) -> SatBackend:
     """Instantiate the backend registered under *name* (default: ``flat``).
 
-    Keyword *options* (e.g. ``chrono=False``, ``inprocessing=False`` for the
-    flat core) are forwarded when the backend declares them in
+    Keyword *options* (e.g. the chaos backend's ``inner`` and ``plan``) are
+    forwarded when the backend declares them in
     :attr:`BackendInfo.option_names`; undeclared options and ``None`` values
-    are silently dropped — options tune heuristics, never semantics, so a
-    backend without the knob just runs its defaults.
+    are silently dropped.
 
     Raises ``ValueError`` for unknown names and
     :class:`~repro.sat.errors.PermanentBackendError` (a ``RuntimeError``
@@ -525,23 +518,6 @@ register_backend(
         name="flat",
         factory=CDCLSolver,
         description="in-process flat-array CDCL core (the default hot path)",
-        option_names=(
-            "chrono",
-            "inprocessing",
-            "chrono_threshold",
-            "inprocess_interval",
-        ),
-    )
-)
-register_backend(
-    BackendInfo(
-        name="flat-nochrono",
-        factory=lambda: CDCLSolver(chrono=False, inprocessing=False),
-        description=(
-            "flat core with chronological backtracking and inprocessing "
-            "disabled (microbench baseline for the chrono gate)"
-        ),
-        race_variant=False,
     )
 )
 register_backend(

@@ -20,17 +20,6 @@ must return the same SAT/UNSAT answer; the comparison records
 Used by ``benchmarks/test_bench_smt.py`` (hard assertions on the default
 pairing) and by the ``repro-nasp microbench`` CLI command (CI regression
 gate + JSON artifact; ``--backend A B`` races any two registered backends).
-
-:func:`run_chrono_microbench` is the second gate: it races the flat core
-with chronological backtracking + inprocessing (its defaults) against the
-``flat-nochrono`` registration of the same core on a cell set split by
-answer.  UNSAT cells must show a
-:data:`CHRONO_UNSAT_THRESHOLD`-fold improvement in either wall-clock or
-conflict throughput (chrono's cheap partial backtracks raise
-conflicts/second even when a refutation takes more conflicts overall);
-SAT cells must merely stay within :data:`CHRONO_SAT_TOLERANCE` of the
-chrono-off wall-clock.  ``repro-nasp microbench --chrono`` wires the gate
-into CI.
 """
 
 from __future__ import annotations
@@ -52,19 +41,6 @@ DEFAULT_CELLS: tuple[dict, ...] = (
     {"layout": "bottom", "instance": "chain-2", "num_stages": 3},
 )
 
-#: Microbench-only instances, deliberately *not* part of the SMT bench
-#: suite's :data:`~repro.evaluation.runner.SMT_INSTANCES` (adding them there
-#: would change every suite digest and baseline).  They exist to give the
-#: chrono gate UNSAT probes with real refutation work: ``ring-5`` and
-#: ``star-4`` are infeasible below their optima for several hundred
-#: conflicts on the reduced shielded layout.
-MICROBENCH_EXTRA_INSTANCES: dict[str, tuple[int, list[tuple[int, int]]]] = {
-    "ring-5": (5, [(i, (i + 1) % 5) for i in range(5)]),
-    "star-4": (5, [(0, i) for i in range(1, 5)]),
-    "chain-4": (5, [(i, i + 1) for i in range(4)]),
-}
-
-
 def scheduling_cnf(layout: str, instance: str, num_stages: int) -> CNF:
     """Bit-blast a reduced scheduling instance at a fixed stage count."""
     from repro.arch import reduced_layout
@@ -72,9 +48,7 @@ def scheduling_cnf(layout: str, instance: str, num_stages: int) -> CNF:
     from repro.core.problem import SchedulingProblem
     from repro.evaluation.runner import REDUCED_LAYOUT_KWARGS, SMT_INSTANCES
 
-    num_qubits, gates = (
-        MICROBENCH_EXTRA_INSTANCES.get(instance) or SMT_INSTANCES[instance]
-    )
+    num_qubits, gates = SMT_INSTANCES[instance]
     problem = SchedulingProblem.from_gates(
         reduced_layout(layout, **REDUCED_LAYOUT_KWARGS), num_qubits, gates
     )
@@ -113,17 +87,13 @@ def measure_core(cnf: CNF, factory: Callable, repeats: int = DEFAULT_REPEATS) ->
     # A backend without a propagation counter (subprocess solvers) reports
     # None, not zero — absence of telemetry is not zero throughput.
     propagations = counters.get("propagations")
-    conflicts = counters.get("conflicts")
     return {
         "result": result.value,
         "seconds": seconds,
         "propagations": propagations,
-        "conflicts": conflicts,
+        "conflicts": counters.get("conflicts"),
         "propagations_per_second": (
             propagations / floored if propagations is not None else None
-        ),
-        "conflicts_per_second": (
-            conflicts / floored if conflicts is not None else None
         ),
     }
 
@@ -154,19 +124,19 @@ def compare_cores(
     # too-fast candidate run nor a too-fast baseline run produces a spurious
     # zero/infinite ratio; everything stays finite and JSON-representable.
     speedup = max(baseline["seconds"], 1e-9) / max(candidate["seconds"], 1e-9)
-
-    def rate_ratio(key: str) -> Optional[float]:
-        candidate_rate, baseline_rate = candidate[key], baseline[key]
-        if candidate_rate is None or baseline_rate is None:
-            return None
-        return candidate_rate / baseline_rate if baseline_rate > 0 else 1e9
-
+    candidate_pps = candidate["propagations_per_second"]
+    baseline_pps = baseline["propagations_per_second"]
+    if candidate_pps is None or baseline_pps is None:
+        throughput_ratio: Optional[float] = None
+    elif baseline_pps > 0:
+        throughput_ratio = candidate_pps / baseline_pps
+    else:
+        throughput_ratio = 1e9
     return {
         candidate_name: candidate,
         baseline_name: baseline,
         "speedup": speedup,
-        "throughput_ratio": rate_ratio("propagations_per_second"),
-        "conflict_throughput_ratio": rate_ratio("conflicts_per_second"),
+        "throughput_ratio": throughput_ratio,
     }
 
 
@@ -210,126 +180,6 @@ def run_microbench(
         "min_throughput_ratio": min(ratios) if ratios else None,
     }
     return document
-
-
-# --------------------------------------------------------------------------- #
-# The chrono gate: flat (chrono + inprocessing on) vs flat-nochrono
-# --------------------------------------------------------------------------- #
-#: The chrono comparison: the flat core with its default chronological
-#: backtracking + inprocessing against the same core with both forced off.
-CHRONO_BACKENDS = ("flat", "flat-nochrono")
-
-#: Minimum improvement — in wall-clock speedup *or* conflict throughput —
-#: chrono must show on every UNSAT cell for the gate to pass.
-CHRONO_UNSAT_THRESHOLD = 1.15
-
-#: Wall-clock tolerance on SAT cells: chrono must not be slower than
-#: ``1 / CHRONO_SAT_TOLERANCE`` of the chrono-off time (timing noise head-
-#: room; the observed SAT speedups are well above 1).
-CHRONO_SAT_TOLERANCE = 0.85
-
-#: Chrono-gate cells.  The first two are UNSAT probes one stage below the
-#: instance optimum (real refutation work, several hundred conflicts); the
-#: rest are SAT probes covering both a deep search (``ring-4`` at a loose
-#: horizon) and near-trivial first descents.
-CHRONO_CELLS: tuple[dict, ...] = (
-    {"layout": "bottom", "instance": "star-4", "num_stages": 4},
-    {"layout": "bottom", "instance": "ring-5", "num_stages": 4},
-    {"layout": "bottom", "instance": "ring-4", "num_stages": 6},
-    {"layout": "bottom", "instance": "chain-4", "num_stages": 3},
-    {"layout": "bottom", "instance": "triangle", "num_stages": 5},
-)
-
-
-def run_chrono_microbench(
-    cells: Sequence[dict] = CHRONO_CELLS,
-    repeats: int = DEFAULT_REPEATS,
-    unsat_threshold: float = CHRONO_UNSAT_THRESHOLD,
-    sat_tolerance: float = CHRONO_SAT_TOLERANCE,
-) -> dict:
-    """Race chrono-on against chrono-off and gate by the cell's answer.
-
-    UNSAT cells gate on ``max(speedup, conflict_throughput_ratio)``:
-    chronological backtracking converts deep non-chronological jumps into
-    cheap one-level backtracks, which shows up as higher conflict throughput
-    even on refutations that take *more* conflicts overall.  SAT cells only
-    gate on not regressing wall-clock beyond *sat_tolerance*.
-    """
-    results = []
-    for cell in cells:
-        cnf = scheduling_cnf(**cell)
-        comparison = compare_cores(cnf, repeats=repeats, backends=CHRONO_BACKENDS)
-        answer = comparison[CHRONO_BACKENDS[0]]["result"]
-        conflict_ratio = comparison["conflict_throughput_ratio"]
-        improvement = max(comparison["speedup"], conflict_ratio or 0.0)
-        if answer == "unsat":
-            gate = "improve"
-            passed = improvement >= unsat_threshold
-        else:
-            gate = "no-regression"
-            passed = comparison["speedup"] >= sat_tolerance
-        results.append(
-            {
-                **cell,
-                "num_vars": cnf.num_vars,
-                "num_clauses": cnf.num_clauses,
-                **comparison,
-                "gate": gate,
-                "improvement": improvement,
-                "gate_passed": passed,
-            }
-        )
-    unsat_improvements = [
-        cell["improvement"] for cell in results if cell["gate"] == "improve"
-    ]
-    sat_speedups = [
-        cell["speedup"] for cell in results if cell["gate"] == "no-regression"
-    ]
-    return {
-        "backends": list(CHRONO_BACKENDS),
-        "unsat_threshold": unsat_threshold,
-        "sat_tolerance": sat_tolerance,
-        "cells": results,
-        "chrono_gate_passed": all(cell["gate_passed"] for cell in results),
-        "min_unsat_improvement": (
-            min(unsat_improvements) if unsat_improvements else None
-        ),
-        "min_sat_speedup": min(sat_speedups) if sat_speedups else None,
-    }
-
-
-def format_chrono_microbench(document: dict) -> str:
-    """Human-readable summary table of a :func:`run_chrono_microbench` run."""
-    on_name, off_name = document["backends"]
-    lines = [
-        f"{'Cell':<24}{'Answer':>8}{'chrono[s]':>11}{'off[s]':>9}"
-        f"{'Speedup':>9}{'Conf/s ratio':>14}{'Gate':>15}"
-    ]
-    for cell in document["cells"]:
-        name = f"{cell['layout']}/{cell['instance']}@{cell['num_stages']}"
-        ratio = cell["conflict_throughput_ratio"]
-        verdict = "pass" if cell["gate_passed"] else "FAIL"
-        lines.append(
-            f"{name:<24}{cell[on_name]['result']:>8}"
-            f"{cell[on_name]['seconds']:>11.3f}"
-            f"{cell[off_name]['seconds']:>9.3f}"
-            f"{cell['speedup']:>9.2f}"
-            f"{'-' if ratio is None else format(ratio, '.2f'):>14}"
-            f"{cell['gate'] + ':' + verdict:>15}"
-        )
-    min_unsat = document["min_unsat_improvement"]
-    min_sat = document["min_sat_speedup"]
-    verdict = "yes" if document["chrono_gate_passed"] else "NO - REGRESSION"
-    lines.append(
-        f"chrono+inprocessing gate passed: {verdict} "
-        f"(min UNSAT improvement "
-        f"{'-' if min_unsat is None else format(min_unsat, '.2f') + 'x'} "
-        f"vs threshold {document['unsat_threshold']:.2f}x, "
-        f"min SAT speedup "
-        f"{'-' if min_sat is None else format(min_sat, '.2f') + 'x'} "
-        f"vs tolerance {document['sat_tolerance']:.2f}x)"
-    )
-    return "\n".join(lines)
 
 
 def format_microbench(document: dict) -> str:

@@ -135,12 +135,11 @@ class ChaosBackend:
         self,
         inner: Union[str, None, object] = None,
         plan: Optional[FaultPlan] = None,
-        **inner_options: object,
     ) -> None:
         if inner is None or isinstance(inner, str):
             from repro.sat.backend import create_backend
 
-            inner = create_backend(inner, **inner_options)
+            inner = create_backend(inner)
         self._inner = inner
         self._plan = plan if plan is not None else FaultPlan.from_environment()
         self._rng = random.Random(self._plan.seed)

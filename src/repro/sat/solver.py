@@ -8,18 +8,6 @@ The solver implements the standard modern architecture:
   scans per decision) with phase saving,
 * Luby-sequence restarts,
 * LBD-aware learned-clause database reduction (glue clauses are kept),
-* *chronological backtracking* (C-bt à la CaDiCaL/Maple-ChronoBT): when
-  conflict analysis asks for a backjump much deeper than the current
-  decision level, the solver optionally backtracks a single level instead
-  and re-attaches the asserting literal there, keeping the still-valid
-  propagations of the intermediate levels alive.  Gated by the ``chrono``
-  knob; off means bit-identical behaviour to the pre-chrono core,
-* *inprocessing between restarts*: clause vivification (probe each
-  irredundant clause's literals under the current trail and shrink it when
-  a prefix is already contradictory or implies a later literal) and
-  bounded forward subsumption / self-subsuming resolution, with an extra
-  subsumption sweep folded into learned-DB reduction.  Gated by the
-  ``inprocessing`` knob,
 * solving under assumptions (used by the SMT layer for incremental queries).
 
 Hot-path data layout
@@ -68,39 +56,6 @@ _UNASSIGNED = 2
 #: Arena slots before a clause's literals: [size, learned, lbd, activity].
 _HDR = 4
 
-#: Default for the ``chrono`` knob of :class:`CDCLSolver`.  Chronological
-#: backtracking is on by default: the ``repro-nasp microbench --chrono`` gate
-#: races the two modes and fails CI if chrono-on stops paying for itself on
-#: the UNSAT-heavy cells.  Pass ``chrono=False`` (or the ``flat-nochrono``
-#: registry backend) for the bit-identical pre-chrono search.
-CHRONO_DEFAULT = True
-
-#: Default for the ``inprocessing`` knob (vivification + subsumption).
-INPROCESSING_DEFAULT = True
-
-#: Minimum backjump distance (in decision levels) before chronological
-#: backtracking replaces the non-chronological jump.  Short jumps backtrack
-#: normally: re-propagating a couple of levels is cheaper than the extra
-#: conflicts chrono can take to converge (CaDiCaL ships 100; the Python
-#: core's trail is far more expensive to rebuild relative to its conflict
-#: analysis, so the microbench-tuned default is much lower).
-CHRONO_THRESHOLD_DEFAULT = 8
-
-#: Conflicts between two inprocessing rounds (vivification + subsumption run
-#: at the first restart after this many conflicts accumulated).
-INPROCESS_INTERVAL_DEFAULT = 2000
-
-#: Propagation budget of one vivification round.
-_VIVIFY_BUDGET = 20_000
-
-#: Subset-test budget of one subsumption round.
-_SUBSUME_BUDGET = 4_000
-
-#: Clauses longer than this are never vivification/subsumption candidates
-#: (quadratic blow-up guard; long clauses rarely subsume anything).
-_INPROCESS_MAX_SIZE = 24
-
-
 class SolveResult(enum.Enum):
     """Outcome of a :meth:`CDCLSolver.solve` call."""
 
@@ -141,9 +96,6 @@ class SolverStatistics:
         self.restarts = 0
         self.learned_clauses = 0
         self.deleted_clauses = 0
-        self.chrono_backtracks = 0
-        self.vivified_literals = 0
-        self.subsumed_clauses = 0
         self.max_decision_level = 0
         self.solve_seconds = 0.0
 
@@ -201,50 +153,8 @@ class CDCLSolver:
     supports_assumptions = True
     supports_phase_hints = True
 
-    def __init__(
-        self,
-        chrono: Optional[bool] = None,
-        inprocessing: Optional[bool] = None,
-        chrono_threshold: Optional[int] = None,
-        inprocess_interval: Optional[int] = None,
-    ) -> None:
-        """Create an empty solver.
-
-        Parameters
-        ----------
-        chrono:
-            Enable chronological backtracking (``None`` → module default
-            :data:`CHRONO_DEFAULT`).  ``False`` is bit-identical to the
-            pre-chrono search on every formula.
-        inprocessing:
-            Enable vivification + subsumption between restarts (``None`` →
-            :data:`INPROCESSING_DEFAULT`).
-        chrono_threshold:
-            Minimum backjump distance before chrono replaces the jump
-            (clamped to >= 1 so a chronological step always makes progress).
-        inprocess_interval:
-            Conflicts between two inprocessing rounds.
-        """
-        self._chrono = CHRONO_DEFAULT if chrono is None else bool(chrono)
-        self._inprocessing = (
-            INPROCESSING_DEFAULT if inprocessing is None else bool(inprocessing)
-        )
-        self._chrono_threshold = max(
-            1,
-            CHRONO_THRESHOLD_DEFAULT if chrono_threshold is None else int(chrono_threshold),
-        )
-        self._inprocess_interval = max(
-            1,
-            INPROCESS_INTERVAL_DEFAULT
-            if inprocess_interval is None
-            else int(inprocess_interval),
-        )
-        # Conflict count at the last inprocessing round, rotating cursor of
-        # the vivifier, and offsets of clauses killed by the current round
-        # (removed from the arena at the next `_rebuild_clause_db`).
-        self._last_inprocess = 0
-        self._vivify_cursor = 0
-        self._dead: set[int] = set()
+    def __init__(self) -> None:
+        """Create an empty solver."""
         self._num_vars = 0
         # Indexed by variable (1-based); index 0 unused.
         self._level: list[int] = [0]
@@ -746,25 +656,13 @@ class CDCLSolver:
         Candidates are learned clauses longer than 2 literals that are not
         *glue* (LBD <= 2) and not locked as a reason on the trail; they are
         ranked worst-first by (high LBD, low activity), glucose-style.
-
-        With inprocessing enabled, a kill-only subsumption sweep runs first
-        (strengthening is unsafe at a non-zero decision level — see
-        :meth:`_subsume_round`) and its casualties ride along in the same
-        arena rebuild.
         """
         ca = self._ca
         locked = {self._reason[enc >> 1] for enc in self._trail}
-        if self._inprocessing:
-            # Kill-only: never returns False without strengthening.
-            self._subsume_round(locked=frozenset(locked), strengthen=False)
-        dead = self._dead
         candidates = [
             offset
             for offset in self._clause_refs
-            if ca[offset + 1]
-            and ca[offset] > 2
-            and ca[offset + 2] > 2
-            and offset not in dead
+            if ca[offset + 1] and ca[offset] > 2 and ca[offset + 2] > 2
         ]
         to_remove = set()
         if len(candidates) >= 100:
@@ -772,17 +670,14 @@ class CDCLSolver:
             for offset in candidates[: len(candidates) // 2]:
                 if offset not in locked:
                     to_remove.add(offset)
-        if not to_remove and not dead:
+        if not to_remove:
             return
         self._rebuild_clause_db(to_remove)
         self.stats.deleted_clauses += len(to_remove)
 
     def _rebuild_clause_db(self, to_remove: set[int]) -> None:
-        """Compact the arena, dropping *to_remove* plus every clause marked
-        dead by inprocessing, and rebuild the watch lists."""
-        if self._dead:
-            to_remove = to_remove | self._dead
-            self._dead = set()
+        """Compact the arena, dropping *to_remove*, and rebuild the watch
+        lists."""
         old_ca = self._ca
         new_ca: list = []
         new_refs: list[int] = []
@@ -813,273 +708,6 @@ class CDCLSolver:
             else:
                 watches[first].extend((offset, second))
                 watches[second].extend((offset, first))
-
-    # ------------------------------------------------------------------ #
-    # Inprocessing: vivification + subsumption between restarts
-    # ------------------------------------------------------------------ #
-    def _detach_clause(self, offset: int) -> None:
-        """Remove *offset* from the watch lists of its two watched literals.
-
-        The watched literals of a live clause are always arena slots 0 and 1
-        (propagation maintains this invariant when migrating watches).
-        """
-        ca = self._ca
-        base = offset + _HDR
-        if ca[offset] == 2:
-            for enc in (ca[base], ca[base + 1]):
-                wl = self._bin_watches[enc]
-                for k in range(0, len(wl), 2):
-                    if wl[k + 1] == offset:
-                        del wl[k : k + 2]
-                        break
-        else:
-            for enc in (ca[base], ca[base + 1]):
-                wl = self._watches[enc]
-                for k in range(0, len(wl), 2):
-                    if wl[k] == offset:
-                        del wl[k : k + 2]
-                        break
-
-    def _attach_watches(self, offset: int) -> None:
-        """Re-insert *offset* (already in the arena) into the watch lists."""
-        ca = self._ca
-        base = offset + _HDR
-        first, second = ca[base], ca[base + 1]
-        if ca[offset] == 2:
-            self._bin_watches[first].extend((second, offset))
-            self._bin_watches[second].extend((first, offset))
-        else:
-            self._watches[first].extend((offset, second))
-            self._watches[second].extend((offset, first))
-
-    def _commit_simplified(self, lits: list[int], learned: bool, lbd: int = 0) -> bool:
-        """Attach a clause derived by inprocessing.  Level 0 only.
-
-        Mirrors :meth:`add_clause`'s root simplification: literals false at
-        the root are dropped and a clause satisfied by a root fact is not
-        stored (the fact itself is exported by :meth:`to_cnf`, so the
-        snapshot stays equisatisfiable).  Attaching only root-unassigned
-        literals keeps the two-watch invariant intact — a clause must never
-        enter the watch lists with an already-false watch, whose
-        falsification event propagation has already processed.
-
-        Returns ``False`` when the formula became unsatisfiable.
-        """
-        values = self._values
-        out: list[int] = []
-        for enc in lits:
-            val = values[enc]
-            if val == 1:
-                return True
-            if val == 0:
-                continue
-            out.append(enc)
-        if not out:
-            return False
-        if len(out) == 1:
-            if not self._enqueue(out[0], -1):
-                return False
-            return self._propagate() == -1
-        self._attach_clause(out, learned=learned, lbd=min(lbd, len(out)) if learned else 0)
-        return True
-
-    def _inprocess(self) -> bool:
-        """One inprocessing round: vivify, subsume, compact the arena.
-
-        Called at decision level 0 (right after a restart), so every
-        simplification derived here is implied by the formula alone — never
-        by the assumptions of the current :meth:`solve` call.  Returns
-        ``False`` when the round proves the formula unsatisfiable.
-        """
-        if not self._vivify_round():
-            return False
-        if not self._subsume_round():
-            return False
-        if self._dead:
-            self._rebuild_clause_db(set())
-        return True
-
-    def _vivify_round(self) -> bool:
-        """Clause vivification over the irredundant (problem) clauses.
-
-        For each candidate the solver assumes the negation of its literals
-        one at a time under real unit propagation.  Three outcomes shrink
-        the clause ``C = l1 .. lk`` at position ``i``:
-
-        * ``li`` propagated *true*: the negated prefix implies ``li``, so
-          ``C`` shrinks to ``(kept prefix) + [li]``;
-        * ``li`` propagated *false*: ``li`` is redundant in ``C`` (the
-          resolvent on ``li`` subsumes ``C``) and is dropped;
-        * propagating ``not li`` conflicts: the formula implies
-          ``(kept prefix) + [li]``.
-
-        A rotating cursor plus a propagation budget bound the round; the
-        cursor persists across rounds so successive rounds examine different
-        clauses.
-        """
-        ca = self._ca
-        values = self._values
-        dead = self._dead
-        stats = self.stats
-        refs = self._clause_refs
-        n = len(refs)
-        if not n:
-            return True
-        budget_start = stats.propagations
-        cursor = self._vivify_cursor % n
-        examined = 0
-        while examined < n and stats.propagations - budget_start < _VIVIFY_BUDGET:
-            offset = refs[cursor]
-            cursor = (cursor + 1) % n
-            examined += 1
-            size = ca[offset]
-            if (
-                offset in dead
-                or ca[offset + 1]  # learned: only irredundant clauses
-                or size < 3
-                or size > _INPROCESS_MAX_SIZE
-            ):
-                continue
-            base = offset + _HDR
-            lits = ca[base : base + size]
-            if any(values[enc] == 1 for enc in lits):
-                continue  # satisfied by a root fact
-            # Detach first: the clause must not propagate its own last
-            # literal while its other literals are being assumed false.
-            self._detach_clause(offset)
-            kept: list[int] = []
-            new_clause: Optional[list[int]] = None
-            dropped = False
-            for enc in lits:
-                val = values[enc]
-                if val == 1:
-                    cand = kept + [enc]
-                    if len(cand) < size:
-                        new_clause = cand
-                    break
-                if val == 0:
-                    dropped = True
-                    continue
-                self._trail_lim.append(len(self._trail))
-                self._enqueue(enc ^ 1, -1)
-                if self._propagate() != -1:
-                    cand = kept + [enc]
-                    if len(cand) < size:
-                        new_clause = cand
-                    break
-                kept.append(enc)
-            else:
-                if dropped:
-                    new_clause = kept
-            self._backtrack(0)
-            if new_clause is None:
-                self._attach_watches(offset)
-                continue
-            stats.vivified_literals += size - len(new_clause)
-            dead.add(offset)
-            if not self._commit_simplified(new_clause, learned=False):
-                return False
-        self._vivify_cursor = cursor
-        return True
-
-    def _subsume_round(
-        self,
-        locked: frozenset[int] = frozenset(),
-        strengthen: bool = True,
-    ) -> bool:
-        """Bounded forward subsumption and self-subsuming resolution.
-
-        For a clause ``C`` and a candidate ``D`` sharing a literal of ``C``
-        (or its negation): ``C ⊆ D`` kills ``D`` outright, and ``C`` with
-        exactly one literal negated in ``D`` strengthens ``D`` by resolving
-        that literal away.  Killed clauses are only *marked* dead — they
-        stay in the watch lists until the next arena rebuild, which is sound
-        because every dead clause is implied by a live one.  A learned
-        subsumer of a problem clause is promoted to problem status first, so
-        :meth:`to_cnf` exports stay equisatisfiable.
-
-        ``strengthen`` must be ``False`` when called at a non-zero decision
-        level (from :meth:`_reduce_db`): attaching a strengthened clause
-        whose watches are already false mid-search can silently miss the
-        conflict that falsifies it.  ``locked`` excludes reason clauses of
-        the current trail from being killed.
-        """
-        ca = self._ca
-        values = self._values
-        dead = self._dead
-        stats = self.stats
-        occurs: dict[int, list[int]] = {}
-        lit_sets: dict[int, frozenset[int]] = {}
-        cands: list[int] = []
-        for offset in self._clause_refs:
-            if offset in dead:
-                continue
-            size = ca[offset]
-            if size > _INPROCESS_MAX_SIZE:
-                continue
-            base = offset + _HDR
-            lits = ca[base : base + size]
-            if any(values[enc] == 1 for enc in lits):
-                continue
-            cands.append(offset)
-            lit_sets[offset] = frozenset(lits)
-            for enc in lits:
-                occurs.setdefault(enc, []).append(offset)
-        cands.sort(key=lambda offset: ca[offset])  # short subsumers first
-        budget = _SUBSUME_BUDGET
-        empty: list[int] = []
-        for offset in cands:
-            if budget <= 0:
-                break
-            if offset in dead:
-                continue
-            c_set = lit_sets[offset]
-            c_size = ca[offset]
-            # Scan the occurrence lists of C's rarest literal and of its
-            # negation: C ⊆ D needs every literal of C in D, and resolving
-            # on `l` needs `¬l` in D — either way D holds pivot or ¬pivot.
-            pivot = min(c_set, key=lambda enc: len(occurs.get(enc, empty)))
-            for other in occurs.get(pivot, empty) + occurs.get(pivot ^ 1, empty):
-                if budget <= 0:
-                    break
-                if other == offset or other in dead or other in locked:
-                    continue
-                if ca[other] < c_size:
-                    continue
-                budget -= 1
-                d_set = lit_sets[other]
-                flip = 0
-                ok = True
-                for enc in c_set:
-                    if enc in d_set:
-                        continue
-                    if flip == 0 and (enc ^ 1) in d_set:
-                        flip = enc
-                        continue
-                    ok = False
-                    break
-                if not ok:
-                    continue
-                if flip == 0:
-                    if ca[other + 1] == 0 and ca[offset + 1] == 1:
-                        # Learned C subsumes problem D: promote C so the
-                        # problem-clause export keeps covering D.
-                        ca[offset + 1] = 0
-                        ca[offset + 2] = 0
-                    dead.add(other)
-                    stats.subsumed_clauses += 1
-                elif strengthen:
-                    # Self-subsuming resolution: D := D \ {¬flip}.
-                    new_lits = [enc for enc in lit_sets[other] if enc != flip ^ 1]
-                    was_learned = bool(ca[other + 1])
-                    self._detach_clause(other)
-                    dead.add(other)
-                    stats.vivified_literals += 1
-                    if not self._commit_simplified(
-                        new_lits, learned=was_learned, lbd=ca[other + 2]
-                    ):
-                        return False
-        return True
 
     # ------------------------------------------------------------------ #
     # Main search
@@ -1131,9 +759,6 @@ class CDCLSolver:
         max_learned = max(2000, self.num_clauses // 3)
         values = self._values
         stats = self.stats
-        chrono = self._chrono
-        chrono_threshold = self._chrono_threshold
-        inprocessing = self._inprocessing
 
         while True:
             conflict = self._propagate()
@@ -1150,22 +775,6 @@ class CDCLSolver:
                     self._backtrack(0)
                     return SolveResult.UNSAT
                 learned, backtrack_level, lbd = self._analyze(conflict)
-                if (
-                    chrono
-                    and len(learned) > 1
-                    and len(self._trail_lim) - backtrack_level > chrono_threshold
-                ):
-                    # Chronological backtracking: the backjump would discard
-                    # many levels of still-valid propagations, so step back a
-                    # single level instead and assert the learned clause
-                    # there.  The asserting literal is enqueued with the
-                    # learned clause as reason, so it is a propagation — the
-                    # level structure (assumptions first, then decisions)
-                    # is untouched.  `chrono_threshold >= 1` guarantees
-                    # `len(trail_lim) - 1 > backtrack_level`, so the clause
-                    # is genuinely asserting at the target level.
-                    backtrack_level = len(self._trail_lim) - 1
-                    stats.chrono_backtracks += 1
                 self._backtrack(max(backtrack_level, 0))
                 if len(learned) == 1:
                     self._backtrack(0)
@@ -1190,15 +799,6 @@ class CDCLSolver:
                     conflicts_since_restart = 0
                     conflicts_until_restart = 100 * _luby(restart_count + 1)
                     self._backtrack(0)
-                    if (
-                        inprocessing
-                        and stats.conflicts - self._last_inprocess
-                        >= self._inprocess_interval
-                    ):
-                        self._last_inprocess = stats.conflicts
-                        if not self._inprocess():
-                            self._ok = False
-                            return SolveResult.UNSAT
                 learned_count = stats.learned_clauses - stats.deleted_clauses
                 if learned_count > max_learned:
                     self._reduce_db()
@@ -1267,9 +867,8 @@ class CDCLSolver:
         for enc in root:
             cnf.add_clause([self._decode(enc)])
         ca = self._ca
-        dead = self._dead
         for offset in self._clause_refs:
-            if offset in dead or (ca[offset + 1] and not include_learned):
+            if ca[offset + 1] and not include_learned:
                 continue
             base = offset + _HDR
             cnf.add_clause(

@@ -153,16 +153,10 @@ class Solver:
         self,
         incremental: bool = False,
         backend: Optional[str] = None,
-        backend_options: Optional[dict] = None,
         backend_retries: int = DEFAULT_BACKEND_RETRIES,
         retry_backoff: float = RETRY_BACKOFF_SECONDS,
     ) -> None:
-        """*backend_options* are forwarded to
-        :func:`repro.sat.backend.create_backend` (e.g. ``chrono`` /
-        ``inprocessing`` for the flat core); options a backend does not
-        declare are dropped there — they tune heuristics, never answers.
-
-        *backend_retries* bounds how often a
+        """*backend_retries* bounds how often a
         :class:`~repro.sat.errors.TransientBackendError` raised by a solve
         is retried within one :meth:`check` (with deterministic linear
         backoff of *retry_backoff* seconds per attempt) before escalating;
@@ -179,16 +173,13 @@ class Solver:
         self._backend_retries_total = 0
         # Resolve the name eagerly so typos fail at construction time.
         self._backend_name = backend_info(backend).name
-        self._backend_options = dict(backend_options or {})
         self._sat_solver: Optional[SatBackend] = None
         self._encoder: Optional[ExpressionEncoder] = None
         self._encoded_constraints = 0
         self._encoded_variables = 0
         self._pending_phase_hints: dict = {}
         if incremental:
-            self._sat_solver = create_backend(
-                self._backend_name, **self._backend_options
-            )
+            self._sat_solver = create_backend(self._backend_name)
             self._encoder = ExpressionEncoder(self._sat_solver)
 
     @property
@@ -200,11 +191,6 @@ class Solver:
     def backend(self) -> str:
         """Registry name of the SAT backend deciding the formulas."""
         return self._backend_name
-
-    @property
-    def backend_options(self) -> dict:
-        """Options forwarded to the backend factory (heuristics only)."""
-        return dict(self._backend_options)
 
     # ------------------------------------------------------------------ #
     # Variable creation helpers
@@ -354,7 +340,7 @@ class Solver:
             new_variables = self._variables[self._encoded_variables :]
             new_constraints = self._constraints[self._encoded_constraints :]
         else:
-            sat_solver = create_backend(self._backend_name, **self._backend_options)
+            sat_solver = create_backend(self._backend_name)
             encoder = ExpressionEncoder(sat_solver)
             new_variables = self._variables
             new_constraints = self._constraints

@@ -219,9 +219,6 @@ def test_report_statistics_cover_every_probe(strategy, horizons, capacity):
         probes.append(context.statistics())
     for key in ("sat_conflicts", "sat_decisions"):
         assert report.statistics[key] == sum(probe[key] for probe in probes)
-    assert report.statistics["solve_seconds"] >= max(
-        probe["solve_seconds"] for probe in probes
-    )
 
 
 @pytest.mark.parametrize(

@@ -401,9 +401,6 @@ _PAYLOAD_FIELDS = {
     "lower_bound_source": "clique+transfer",
     "upper_bound_source": "structured-airborne",
     "sat_propagations_per_second": 1.5e6,
-    "sat_chrono_backtracks": 12,
-    "sat_vivified_literals": 7,
-    "sat_subsumed_clauses": 3,
     "termination": "certified",
     "backend_retries": 0,
     "latency_p50_seconds": 0.02,

@@ -17,6 +17,7 @@ from test_sat_solver import brute_force_satisfiable
 from repro.sat import CNF, CDCLSolver, ReferenceCDCLSolver, SolveResult
 from repro.sat.backend import (
     DEFAULT_BACKEND,
+    ChaosBackend,
     SOLVER_BINARY_ENV,
     DimacsSubprocessBackend,
     SatBackend,
@@ -55,32 +56,19 @@ def no_solver(monkeypatch):
 def test_builtin_backends_are_registered():
     names = available_backends()
     assert "flat" in names
-    assert "flat-nochrono" in names
     assert "reference" in names
     assert "dimacs-subprocess" in names
     assert "ipasir" in names
     assert DEFAULT_BACKEND == "flat"
 
 
-def test_flat_nochrono_is_the_flat_core_with_both_knobs_off():
-    solver = create_backend("flat-nochrono")
-    assert isinstance(solver, CDCLSolver)
-    assert solver._chrono is False
-    assert solver._inprocessing is False
-    # Not raced by the portfolio: it exists for differential measurement.
-    assert backend_info("flat-nochrono").race_variant is False
-
-
 def test_create_backend_filters_options_by_declaration():
     # Declared options reach the factory; undeclared ones and Nones are
-    # dropped (options are heuristics — never a reason to fail a solve).
-    solver = create_backend(
-        "flat", chrono=False, inprocessing=None, bogus_option=3
-    )
-    assert solver._chrono is False
-    assert solver._inprocessing is True  # None fell back to the default
-    reference = create_backend("reference", chrono=False)
-    assert isinstance(reference, ReferenceCDCLSolver)  # silently dropped
+    # dropped.
+    assert isinstance(create_backend("flat", bogus_option=3), CDCLSolver)
+    chaos = create_backend("chaos", inner="reference", plan=None, bogus_option=3)
+    assert isinstance(chaos, ChaosBackend)
+    assert isinstance(chaos.inner, ReferenceCDCLSolver)
 
 
 def test_create_backend_instantiates_the_registered_classes():
@@ -157,8 +145,7 @@ def test_every_available_backend_agrees_with_brute_force(name, seed):
 def _unsat_heavy_cnf(rng: random.Random) -> CNF:
     """Dense random 3-CNF at ~5.2 clauses per variable: mostly UNSAT, with
     real refutation work (conflict analysis, not single-clause
-    contradictions) — the regime chronological backtracking and
-    inprocessing actually exercise."""
+    contradictions)."""
     n_vars = rng.randint(5, 9)
     cnf = CNF(num_vars=n_vars)
     for _ in range(int(5.2 * n_vars)):
@@ -168,19 +155,14 @@ def _unsat_heavy_cnf(rng: random.Random) -> CNF:
 
 
 @pytest.mark.parametrize("seed", range(10))
-def test_chrono_reference_and_ipasir_agree_on_unsat_heavy_formulas(seed):
-    """Differential fuzz on UNSAT-heavy formulas: the flat core with
-    *aggressive* chrono + inprocessing (threshold/interval 1), the plain
-    chrono-off core, the seed reference, and — when a library is loadable —
-    the IPASIR backend must return identical verdicts, with every SAT model
-    genuinely satisfying the formula."""
+def test_flat_reference_and_ipasir_agree_on_unsat_heavy_formulas(seed):
+    """Differential fuzz on UNSAT-heavy formulas: the flat core, the seed
+    reference, and — when a library is loadable — the IPASIR backend must
+    return identical verdicts, with every SAT model genuinely satisfying
+    the formula."""
     cnf = _unsat_heavy_cnf(random.Random(31000 + seed))
     expected = brute_force_satisfiable(cnf)
-    solvers = [
-        create_backend("flat", chrono_threshold=1, inprocess_interval=1),
-        create_backend("flat-nochrono"),
-        create_backend("reference"),
-    ]
+    solvers = [create_backend("flat"), create_backend("reference")]
     if "ipasir" in usable_backends():
         solvers.append(create_backend("ipasir"))
     for solver in solvers:
@@ -203,10 +185,7 @@ def test_backends_agree_under_assumptions_on_unsat_heavy_formulas(seed):
         v if rng.random() < 0.5 else -v
         for v in rng.sample(range(1, cnf.num_vars + 1), 2)
     ]
-    solvers = [
-        create_backend("flat", chrono_threshold=1, inprocess_interval=1),
-        create_backend("reference"),
-    ]
+    solvers = [create_backend("flat"), create_backend("reference")]
     if "ipasir" in usable_backends():
         solvers.append(create_backend("ipasir"))
     verdicts = set()

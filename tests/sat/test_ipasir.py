@@ -314,7 +314,7 @@ def test_live_library_reuses_learned_clauses_across_probes():
     backend = _live_cadical_backend()
     if backend is None:
         pytest.skip("no system CaDiCaL library available")
-    from test_chrono import php_cnf
+    from test_sat_solver import php_cnf
 
     cnf = php_cnf(7, 6)
     guard = cnf.new_var()

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.sat import CNF, CDCLSolver, ReferenceCDCLSolver, SolveResult
+from repro.sat.solver import SolverStatistics
 
 
 def brute_force_satisfiable(cnf: CNF) -> bool:
@@ -19,6 +20,20 @@ def brute_force_satisfiable(cnf: CNF) -> bool:
         if cnf.evaluate(assignment):
             return True
     return False
+
+
+def php_cnf(pigeons: int, holes: int) -> CNF:
+    """The pigeonhole formula: UNSAT iff pigeons > holes, with real
+    refutation depth."""
+    cnf = CNF(num_vars=pigeons * holes)
+    var = lambda i, j: i * holes + j + 1  # noqa: E731
+    for i in range(pigeons):
+        cnf.add_clause([var(i, j) for j in range(holes)])
+    for j in range(holes):
+        for i1 in range(pigeons):
+            for i2 in range(i1 + 1, pigeons):
+                cnf.add_clause([-var(i1, j), -var(i2, j)])
+    return cnf
 
 
 def solve_cnf(cnf: CNF) -> tuple[SolveResult, dict]:
@@ -202,19 +217,11 @@ def test_incremental_clause_addition():
 def test_conflict_limit_returns_unknown():
     # A hard instance with a conflict budget of 1 should give up.
     solver = CDCLSolver()
-    var = {}
-    pigeons, holes = 6, 5
-    for i in range(pigeons):
-        for j in range(holes):
-            var[i, j] = solver.new_var()
-    for i in range(pigeons):
-        solver.add_clause([var[i, j] for j in range(holes)])
-    for j in range(holes):
-        for i1 in range(pigeons):
-            for i2 in range(i1 + 1, pigeons):
-                solver.add_clause([-var[i1, j], -var[i2, j]])
+    solver.add_cnf(php_cnf(6, 5))
     result = solver.solve(max_conflicts=1)
     assert result in (SolveResult.UNKNOWN, SolveResult.UNSAT)
+    # The solver stays usable after an interrupted probe.
+    assert solver.solve() is SolveResult.UNSAT
 
 
 def test_statistics_are_collected():
@@ -247,6 +254,43 @@ def test_statistics_include_timing_and_rates():
     if with_rates["solve_seconds"] > 0:
         expected = with_rates["propagations"] / with_rates["solve_seconds"]
         assert with_rates["propagations_per_second"] == pytest.approx(expected)
+
+
+def test_statistics_rates_are_zero_before_any_solve():
+    stats = SolverStatistics()
+    stats.propagations = 1000
+    stats.conflicts = 10
+    assert stats.propagations_per_second == 0.0
+    assert stats.conflicts_per_second == 0.0
+
+
+def test_statistics_rates_stay_finite_on_instant_solves():
+    stats = SolverStatistics()
+    stats.propagations = 1000
+    stats.conflicts = 10
+    stats.solve_seconds = 5e-10  # below clock granularity, but non-zero
+    assert stats.propagations_per_second > 0
+    assert stats.propagations_per_second != float("inf")
+    assert stats.conflicts_per_second != float("inf")
+
+
+def test_default_core_search_is_pinned():
+    """The flat core runs exactly one search.  Its counters on a reduced
+    scheduling refutation are deterministic, so any change to propagation,
+    analysis, restarts or clause-database reduction shows up here."""
+    from repro.sat.backend import create_backend
+    from repro.sat.bench import scheduling_cnf
+
+    cnf = scheduling_cnf(layout="bottom", instance="triangle", num_stages=4)
+    solver = create_backend("flat")
+    solver.add_cnf(cnf)
+    assert solver.solve() is SolveResult.UNSAT
+    counters = solver.statistics()
+    assert (
+        counters["conflicts"],
+        counters["decisions"],
+        counters["propagations"],
+    ) == (208, 459, 51_340)
 
 
 def test_model_before_solve_raises():
