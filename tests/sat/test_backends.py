@@ -12,7 +12,7 @@ import random
 
 import pytest
 
-from test_sat_solver import brute_force_satisfiable
+from test_sat_solver import brute_force_satisfiable, php_cnf
 
 from repro.sat import CNF, CDCLSolver, ReferenceCDCLSolver, SolveResult
 from repro.sat.backend import (
@@ -170,6 +170,27 @@ def test_flat_reference_and_ipasir_agree_on_unsat_heavy_formulas(seed):
         result = solver.solve()
         assert result is not SolveResult.UNKNOWN
         assert (result is SolveResult.SAT) == expected, solver.backend_name
+        if result is SolveResult.SAT:
+            assert cnf.evaluate(solver.model()), solver.backend_name
+
+
+@pytest.mark.parametrize(
+    "pigeons, holes",
+    [(2, 1), (3, 2), (4, 3), (5, 4), (6, 5), (3, 3), (4, 4), (5, 5)],
+)
+def test_backends_agree_on_pigeonhole_formulas(pigeons, holes):
+    """The pigeonhole family has deep refutations that random formulas of
+    brute-forceable size never reach: the flat core, the seed reference and
+    — when loadable — IPASIR must refute it exactly when there are more
+    pigeons than holes, and find a genuine placement otherwise."""
+    cnf = php_cnf(pigeons, holes)
+    solvers = [create_backend("flat"), create_backend("reference")]
+    if "ipasir" in usable_backends():
+        solvers.append(create_backend("ipasir"))
+    for solver in solvers:
+        solver.add_cnf(cnf)
+        result = solver.solve()
+        assert (result is SolveResult.UNSAT) == (pigeons > holes), solver.backend_name
         if result is SolveResult.SAT:
             assert cnf.evaluate(solver.model()), solver.backend_name
 

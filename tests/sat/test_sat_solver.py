@@ -36,6 +36,16 @@ def php_cnf(pigeons: int, holes: int) -> CNF:
     return cnf
 
 
+def random_cnf(rng: random.Random, n_vars: int = 8, density: float = 4.8) -> CNF:
+    """Random CNF of mixed clause widths (units, binaries, ternaries)."""
+    cnf = CNF(num_vars=n_vars)
+    for _ in range(int(density * n_vars)):
+        size = rng.randint(1, 3)
+        chosen = rng.sample(range(1, n_vars + 1), size)
+        cnf.add_clause([v if rng.random() < 0.5 else -v for v in chosen])
+    return cnf
+
+
 def solve_cnf(cnf: CNF) -> tuple[SolveResult, dict]:
     solver = CDCLSolver()
     solver.add_cnf(cnf)
@@ -224,6 +234,16 @@ def test_conflict_limit_returns_unknown():
     assert solver.solve() is SolveResult.UNSAT
 
 
+def test_time_limit_returns_unknown_and_solver_stays_usable():
+    solver = CDCLSolver()
+    solver.add_cnf(php_cnf(7, 6))
+    # The deadline is checked after each conflict; a zero budget stops at
+    # the first one.
+    assert solver.solve(time_limit=0.0) is SolveResult.UNKNOWN
+    assert solver.statistics()["conflicts"] == 1
+    assert solver.solve() is SolveResult.UNSAT
+
+
 def test_statistics_are_collected():
     solver = CDCLSolver()
     a, b, c = (solver.new_var() for _ in range(3))
@@ -291,6 +311,39 @@ def test_default_core_search_is_pinned():
         counters["decisions"],
         counters["propagations"],
     ) == (208, 459, 51_340)
+
+
+def test_default_core_search_is_pinned_on_pigeonhole():
+    """A second pin, on a formula with no scheduling structure: seven
+    pigeons in six holes take six Luby restarts to refute."""
+    solver = CDCLSolver()
+    solver.add_cnf(php_cnf(7, 6))
+    assert solver.solve() is SolveResult.UNSAT
+    counters = solver.statistics()
+    assert (
+        counters["conflicts"],
+        counters["decisions"],
+        counters["propagations"],
+        counters["restarts"],
+    ) == (804, 987, 11_297, 6)
+
+
+def test_statistics_report_exactly_the_search_counters():
+    solver = CDCLSolver()
+    solver.add_cnf(php_cnf(4, 3))
+    assert solver.solve() is SolveResult.UNSAT
+    counters = solver.statistics()
+    assert set(counters) == {
+        "conflicts",
+        "decisions",
+        "propagations",
+        "restarts",
+        "learned_clauses",
+        "deleted_clauses",
+        "max_decision_level",
+        "solve_seconds",
+    }
+    assert counters["conflicts"] > 0
 
 
 def test_model_before_solve_raises():
@@ -382,6 +435,19 @@ def test_learned_database_reduction_keeps_answers_sound():
     assert solver.solve() is SolveResult.UNSAT
     assert solver.stats.learned_clauses > 0
     assert solver.stats.conflicts > 0
+
+
+def test_learned_database_reduction_fires_on_a_long_refutation():
+    """Eight pigeons in seven holes learn past the 2,000-clause cap, so the
+    reducer really compacts the arena (seven in six, above, stays under
+    it), interleaved with restarts; the refutation must survive both."""
+    solver = CDCLSolver()
+    solver.add_cnf(php_cnf(8, 7))
+    assert solver.solve() is SolveResult.UNSAT
+    counters = solver.statistics()
+    assert counters["deleted_clauses"] > 0
+    assert counters["restarts"] > 0
+    assert counters["learned_clauses"] > counters["deleted_clauses"]
 
 
 # --------------------------------------------------------------------------- #
@@ -502,3 +568,57 @@ def test_flat_core_agrees_with_reference_under_assumptions():
         assert flat.solve(assumptions=assumptions) is reference.solve(
             assumptions=assumptions
         ), assumptions
+
+
+# --------------------------------------------------------------------------- #
+# Differential nets on mixed-width formulas: verdicts and models against the
+# brute-force oracle and the seed reference, across full solves, assumption
+# probes and clause-database exports.
+# --------------------------------------------------------------------------- #
+@pytest.mark.parametrize("seed", range(12))
+def test_mixed_width_formulas_agree_with_oracle_and_reference(seed):
+    cnf = random_cnf(random.Random(6200 + seed))
+    expected = brute_force_satisfiable(cnf)
+    for solver in (CDCLSolver(), ReferenceCDCLSolver()):
+        solver.add_cnf(cnf)
+        result = solver.solve()
+        assert (result is SolveResult.SAT) == expected
+        if result is SolveResult.SAT:
+            assert cnf.evaluate(solver.model())
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_assumption_probes_after_a_full_solve_match_a_fresh_solver(seed):
+    """Learned clauses and saved phases from earlier calls must never leak
+    into assumption-level semantics: every probe answers like a fresh
+    solver given the same assumptions."""
+    rng = random.Random(7300 + seed)
+    cnf = random_cnf(rng, n_vars=7, density=4.0)
+    solver = CDCLSolver()
+    solver.add_cnf(cnf)
+    solver.solve()
+    for _ in range(3):
+        assumptions = [
+            v if rng.random() < 0.5 else -v
+            for v in rng.sample(range(1, cnf.num_vars + 1), 2)
+        ]
+        fresh = CDCLSolver()
+        fresh.add_cnf(cnf)
+        assert solver.solve(assumptions=assumptions) is fresh.solve(
+            assumptions=assumptions
+        )
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_clause_db_export_after_solving_stays_equisatisfiable(seed):
+    """to_cnf() after a solve, with and without the learned clauses, is
+    equisatisfiable with the original formula."""
+    cnf = random_cnf(random.Random(5100 + seed))
+    expected = brute_force_satisfiable(cnf)
+    solver = CDCLSolver()
+    solver.add_cnf(cnf)
+    assert (solver.solve() is SolveResult.SAT) == expected
+    for include_learned in (False, True):
+        check = CDCLSolver()
+        check.add_cnf(solver.to_cnf(include_learned=include_learned))
+        assert (check.solve() is SolveResult.SAT) == expected
