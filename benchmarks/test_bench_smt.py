@@ -34,7 +34,7 @@ def bench_problem(kind, instance_name):
     return SchedulingProblem.from_gates(bench_layout(kind), num_qubits, gates)
 
 
-@pytest.mark.parametrize("strategy", ["linear", "bisection", "warmstart", "portfolio"])
+@pytest.mark.parametrize("strategy", ["linear", "bisection", "portfolio"])
 @pytest.mark.parametrize("layout_kind", ["none", "bottom"])
 @pytest.mark.parametrize("instance_name", list(INSTANCES))
 def test_bench_smt_optimal_scheduling(benchmark, strategy, layout_kind, instance_name):
@@ -225,7 +225,7 @@ def test_bench_smt_portfolio_matches_bisection_and_never_trails_the_field(benchm
 
     def run_all():
         reports = {}
-        for strategy in ("linear", "bisection", "warmstart", "portfolio"):
+        for strategy in ("linear", "bisection", "portfolio"):
             scheduler = SMTScheduler(time_limit_per_instance=120, strategy=strategy)
             for layout_kind in ("none", "bottom"):
                 for name in INSTANCES:
@@ -247,7 +247,7 @@ def test_bench_smt_portfolio_matches_bisection_and_never_trails_the_field(benchm
             assert portfolio.winner is not None, (layout_kind, name)
             slowest = max(
                 reports[(strategy, layout_kind, name)].solver_seconds
-                for strategy in ("linear", "bisection", "warmstart")
+                for strategy in ("linear", "bisection")
             )
             assert portfolio.solver_seconds <= slowest + PORTFOLIO_OVERHEAD_SECONDS, (
                 f"{layout_kind}/{name}: portfolio took "

@@ -187,10 +187,6 @@ class IncrementalInstance:
         model = self.solver.model()
         return extract_schedule(self, model, metadata, horizon=horizon)
 
-    def set_phase_hints(self, hints: dict) -> None:
-        """Forward branching-phase hints to the underlying solver."""
-        self.solver.set_phase_hints(hints)
-
     def _horizon_literal(self, horizon: int) -> BoolVar:
         """Activation literal restricting every gate to the first *horizon* stages."""
         literal = self._horizons.get(horizon)

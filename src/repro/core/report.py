@@ -72,8 +72,8 @@ class SchedulerReport:
     termination: Optional[str] = None
     statistics: dict[str, float] = field(default_factory=dict)
     #: Set by the portfolio strategy only: the configuration whose
-    #: certificate landed first (e.g. ``{"strategy": "warmstart"}`` or
-    #: ``{"strategy": "bisection", "phase_seed": 2}``), plus how it won
+    #: certificate landed first (e.g. ``{"strategy": "linear"}`` or
+    #: ``{"strategy": "bisection", "sat_backend": "ipasir"}``), plus how it won
     #: (``"raced"`` across worker processes or ``"inline"`` when the
     #: analytic interval was too narrow to pay for process fan-out).
     winner: Optional[dict] = None

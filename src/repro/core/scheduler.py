@@ -17,17 +17,12 @@ searches over ``S`` with a pluggable *strategy*
   and the structured scheduler's certified upper bound; solves strictly
   fewer horizons than ``linear`` whenever the optimum sits more than a
   couple of steps above the lower bound.
-* ``warmstart`` — bisection plus CDCL phase seeding from the structured
-  schedule's gate-stage assignment.
-* ``portfolio`` — races ``bisection``/``warmstart``/``linear`` and
-  phase-seed variants across worker processes; the first certified optimum
-  wins, losers are terminated, and the winning configuration is recorded on
-  ``report.winner``.  Narrow analytic intervals are delegated inline to
-  bisection instead of paying process fan-out.
-
-``phase_seed`` seeds deterministic pseudo-random CDCL phase hints for the
-strategies that do not install their own (a pure heuristic: answers never
-change); the portfolio uses it to diversify its raced configurations.
+* ``portfolio`` — races ``bisection``/``linear`` and one bisection
+  variant per extra usable SAT backend across worker processes; the first
+  certified optimum wins, losers are terminated, and the winning
+  configuration is recorded on ``report.winner``.  Narrow analytic
+  intervals are delegated inline to bisection instead of paying process
+  fan-out.
 
 All strategies return a :class:`SchedulerReport` recording the analytic
 bounds *with their certificate provenance* (``lower_bound_source`` names
@@ -72,7 +67,6 @@ class SMTScheduler:
         time_limit_per_instance: Optional[float] = None,
         incremental: bool = True,
         strategy: str = "linear",
-        phase_seed: Optional[int] = None,
         sat_backend: Optional[str] = None,
         deadline: Optional[float] = None,
         backend_retries: Optional[int] = None,
@@ -110,7 +104,6 @@ class SMTScheduler:
             max_conflicts=max_conflicts_per_instance,
             time_limit=time_limit_per_instance,
             incremental=incremental,
-            phase_seed=phase_seed,
             sat_backend=sat_backend,
             backend_retries=backend_retries,
         )

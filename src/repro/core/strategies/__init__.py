@@ -7,11 +7,9 @@ Importing this package registers the built-in strategies:
 * ``bisection`` — binary search between the IR's analytic lower bound and
   the structured scheduler's certified upper bound, on one incremental
   instance.
-* ``warmstart`` — bisection plus CDCL phase seeding from the structured
-  schedule's gate-stage assignment.
-* ``portfolio`` — races the single strategies (plus phase-seed variants)
-  across worker processes; the first certified optimum wins and the losers
-  are cancelled.
+* ``portfolio`` — races the single strategies (plus one bisection variant
+  per extra usable SAT backend) across worker processes; the first
+  certified optimum wins and the losers are cancelled.
 
 Strategies are looked up by name through :func:`get_strategy`; third-party
 strategies can join the registry with :func:`register_strategy`.
@@ -24,11 +22,9 @@ from repro.core.strategies.base import (
     available_strategies,
     get_strategy,
     register_strategy,
-    seeded_phase_hints,
 )
 from repro.core.strategies.linear import LinearStrategy
 from repro.core.strategies.bisection import BisectionStrategy, structured_upper_bound
-from repro.core.strategies.warmstart import WarmstartStrategy, structured_phase_hints
 from repro.core.strategies.portfolio import PortfolioStrategy
 
 __all__ = [
@@ -38,11 +34,8 @@ __all__ = [
     "SearchContext",
     "SearchLimits",
     "SearchStrategy",
-    "WarmstartStrategy",
     "available_strategies",
     "get_strategy",
     "register_strategy",
-    "seeded_phase_hints",
-    "structured_phase_hints",
     "structured_upper_bound",
 ]

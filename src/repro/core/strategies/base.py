@@ -17,11 +17,9 @@ SAT *and* UNSAT horizons regardless of the probing order.
 
 from __future__ import annotations
 
-import random
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from functools import partial
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.core.budget import Deadline
 from repro.core.encoding import IncrementalInstance, encode_incremental_problem
@@ -58,17 +56,11 @@ class SearchLimits:
     #: Honoured by the linear strategy only: ``False`` re-encodes every
     #: horizon from scratch (the seed's cold-start reference behaviour).
     incremental: bool = True
-    #: Seed for deterministic pseudo-random CDCL phase hints
-    #: (:func:`seeded_phase_hints`).  ``None`` disables seeding.  Strategies
-    #: that install their own hint provider (warmstart) override the seeded
-    #: one.  Pure heuristic — never changes a SAT/UNSAT answer — which is
-    #: what lets the portfolio race phase-seed variants soundly.
-    phase_seed: Optional[int] = None
     #: Registry name of the SAT backend deciding every probe
     #: (:mod:`repro.sat.backend`).  ``None`` selects the default in-process
     #: flat-array core.  Every registered backend is sound and complete, so
     #: the knob trades speed, never answers — which is what lets the
-    #: portfolio race backends as variants alongside phase seeds.
+    #: portfolio race backends as variants.
     sat_backend: Optional[str] = None
     #: Whole-search wall-clock governance (:class:`repro.core.budget.Deadline`).
     #: Unlike :attr:`time_limit` — a *per-probe* cap handed identically to
@@ -97,9 +89,6 @@ class SearchContext:
         self._fixed_capacity = capacity
         self._headroom = _CAPACITY_HEADROOM
         self._instance: Optional[IncrementalInstance] = None
-        self._hint_provider: Optional[Callable[[IncrementalInstance], dict]] = None
-        if limits.phase_seed is not None:
-            self._hint_provider = partial(seeded_phase_hints, seed=limits.phase_seed)
 
     @property
     def instance(self) -> Optional[IncrementalInstance]:
@@ -134,20 +123,6 @@ class SearchContext:
         """Statistics of the most recent probe."""
         return {} if self._instance is None else self._instance.statistics()
 
-    def set_hint_provider(
-        self, provider: Callable[[IncrementalInstance], dict]
-    ) -> None:
-        """Register a callback producing phase hints for a (re)built instance.
-
-        The provider runs once per instance construction (including capacity
-        rebuilds) and returns a ``{variable: value}`` mapping passed to
-        :meth:`repro.smt.solver.Solver.set_phase_hints`.  Registering a
-        provider after the instance exists seeds it immediately.
-        """
-        self._hint_provider = provider
-        if self._instance is not None:
-            self._instance.set_phase_hints(provider(self._instance))
-
     # ------------------------------------------------------------------ #
     def _ensure_capacity(self, horizon: int) -> IncrementalInstance:
         instance = self._instance
@@ -167,8 +142,6 @@ class SearchContext:
             backend=self.limits.sat_backend,
             backend_retries=self.limits.backend_retries,
         )
-        if self._hint_provider is not None:
-            instance.set_phase_hints(self._hint_provider(instance))
         self._instance = instance
         return instance
 
@@ -201,26 +174,6 @@ def accumulate_statistics(
         counter = merged.get(rate[: -len("_per_second")], 0)
         merged[rate] = counter / solve_seconds if solve_seconds > 0 else 0.0
     return merged
-
-
-def seeded_phase_hints(instance: IncrementalInstance, seed: int) -> dict:
-    """Deterministic pseudo-random phase assignment for a fresh instance.
-
-    Every ``gate_stage`` variable is hinted to a pseudo-random stage and
-    every execution flag to a pseudo-random polarity, reproducibly derived
-    from *seed*.  Like all phase hints these only bias the CDCL core's first
-    descent; they cannot change any SAT/UNSAT answer, so the portfolio can
-    race differently-seeded copies of the same strategy and keep whichever
-    certificate lands first.
-    """
-    rng = random.Random(seed)
-    hints: dict = {}
-    capacity = instance.max_stages
-    for var in instance.variables.gate_stage:
-        hints[var] = rng.randrange(capacity)
-    for var in instance.variables.execution:
-        hints[var] = rng.random() < 0.5
-    return hints
 
 
 class SearchStrategy(ABC):

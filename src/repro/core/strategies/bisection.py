@@ -97,7 +97,11 @@ class BisectionStrategy(SearchStrategy):
                 # still bounds the optimum but cannot serve as a fallback.
                 witness = None
         high = report.upper_bound if witness is not None else limits.max_stages
-        context = self._make_context(problem, limits, witness, high)
+        # With a witness the largest horizon ever probed is ``high - 1``
+        # (the witness itself certifies ``high``), so the capacity is known
+        # exactly and no headroom/rebuild cycle is needed.
+        capacity = max(high - 1, 1) if witness is not None else None
+        context = SearchContext(problem, limits, capacity=capacity)
 
         low = lower_bound
         # The search-control cursor ``low`` advances past UNSAT *and*
@@ -219,20 +223,6 @@ class BisectionStrategy(SearchStrategy):
         return report
 
     # ------------------------------------------------------------------ #
-    def _make_context(
-        self,
-        problem: SchedulingProblem,
-        limits: SearchLimits,
-        witness: Optional[Schedule],
-        high: int,
-    ) -> SearchContext:
-        """Build the shared incremental context (hook for warm-starting)."""
-        # With a witness the largest horizon ever probed is ``high - 1``
-        # (the witness itself certifies ``high``), so the capacity is known
-        # exactly and no headroom/rebuild cycle is needed.
-        capacity = max(high - 1, 1) if witness is not None else None
-        return SearchContext(problem, limits, capacity=capacity)
-
     def _upper_bound_schedule(self, problem: SchedulingProblem) -> Optional[Schedule]:
         """A validated constructive schedule, or ``None`` when unavailable."""
         if self._witness is not None:
@@ -243,7 +233,7 @@ class BisectionStrategy(SearchStrategy):
 def structured_upper_bound(problem: SchedulingProblem) -> Optional[Schedule]:
     """The tightest validated constructive schedule of *problem*, or ``None``.
 
-    Shared by the bound-driven strategies (bisection, warmstart, portfolio):
+    Shared by the bound-driven strategies (bisection, portfolio):
     a structured schedule is feasible by construction and validated before
     use, so its stage count is a certified upper bound on the optimum.  Two
     choreographies compete:

@@ -1,13 +1,11 @@
 """Process-level portfolio racing over the single search strategies.
 
 The portfolio fans a set of solver *configurations* — ``bisection``,
-``warmstart``, ``linear``, phase-seed variants that only differ in the
-CDCL core's initial branching polarities, plus one bisection variant per
-additional usable SAT backend (:mod:`repro.sat.backend`) — across worker
-processes
-(reusing :func:`repro.evaluation.executor.race_to_first`, the racing
-counterpart of the bench runner's worker pool), keeps the first
-configuration that certifies an optimum, and cancels/terminates the losers.
+``linear``, plus one bisection variant per additional usable SAT backend
+(:mod:`repro.sat.backend`) — across worker processes (reusing
+:func:`repro.evaluation.executor.race_to_first`, the racing counterpart of
+the bench runner's worker pool), keeps the first configuration that
+certifies an optimum, and cancels/terminates the losers.
 Every configuration is sound and complete for the same problem, so whichever
 certificate lands first reports the *same* optimal stage count — racing buys
 wall-clock, never answers.
@@ -46,15 +44,10 @@ from repro.core.strategies.bisection import (
 )
 
 #: The default racing configurations, in priority order (ties in the race go
-#: to the earliest index).  Phase-seed variants restart the same bound-driven
-#: search from different first polarities — cheap diversity that pays off
-#: exactly when one descent gets lucky.
+#: to the earliest index).
 DEFAULT_CONFIGS: tuple[dict, ...] = (
     {"strategy": "bisection"},
-    {"strategy": "warmstart"},
     {"strategy": "linear"},
-    {"strategy": "bisection", "phase_seed": 1},
-    {"strategy": "bisection", "phase_seed": 2},
 )
 
 #: Minimum width of the [lower bound, structured upper bound] interval for
@@ -71,22 +64,18 @@ def run_portfolio_config(task: tuple) -> SchedulerReport:
 
     Module-level so it pickles for the process pool.  *task* is
     ``(problem, config, limits, metadata, witness)``; the configuration's
-    ``phase_seed`` is folded into the limits so every strategy sees it
-    through the shared :class:`~repro.core.strategies.base.SearchContext`,
-    and the triage-time structured *witness* is injected into the
-    bound-driven strategies so no worker repeats the constructive
-    scheduling pass.
+    ``sat_backend`` is folded into the limits, and the triage-time
+    structured *witness* is injected into the bound-driven strategies so no
+    worker repeats the constructive scheduling pass.
     """
     from repro.core.strategies import get_strategy
 
     problem, config, limits, metadata, witness = task
-    # A config without its own seed/backend inherits the caller's (so a
-    # user-level SMTScheduler(phase_seed=..., sat_backend=...) behaves the
-    # same raced or inline).
+    # A config without its own backend inherits the caller's (so a
+    # user-level SMTScheduler(sat_backend=...) behaves the same raced or
+    # inline).
     limits = replace(
-        limits,
-        phase_seed=config.get("phase_seed", limits.phase_seed),
-        sat_backend=config.get("sat_backend", limits.sat_backend),
+        limits, sat_backend=config.get("sat_backend", limits.sat_backend)
     )
     strategy = get_strategy(config["strategy"])
     if witness is not None and isinstance(strategy, BisectionStrategy):

@@ -98,7 +98,7 @@ AIRBORNE_SMOKE_INSTANCES = ("single-gate", "disjoint-pairs", "ring-4")
 #: linear strategy with ``incremental=False`` (the seed's reference path);
 #: the other names match the :mod:`repro.core.strategies` registry
 #: (``portfolio`` races the single strategies across worker processes).
-SMT_STRATEGIES = ("linear", "coldstart", "bisection", "warmstart", "portfolio")
+SMT_STRATEGIES = ("linear", "coldstart", "bisection", "portfolio")
 
 REDUCED_LAYOUT_KWARGS = {"x_max": 2, "h_max": 1, "v_max": 1, "c_max": 2, "r_max": 2}
 
@@ -357,7 +357,6 @@ def dedupe_instances(
             spec["strategy"],
             spec.get("sat_backend"),
             spec.get("time_limit"),
-            spec.get("phase_seed"),
         )
         if key in seen:
             dropped[instance.name] = seen[key]
@@ -435,7 +434,6 @@ def _execute_smt(spec: dict) -> dict:
         time_limit_per_instance=spec.get("time_limit"),
         strategy="linear" if strategy == "coldstart" else strategy,
         incremental=strategy != "coldstart",
-        phase_seed=spec.get("phase_seed"),
         sat_backend=spec.get("sat_backend"),
         deadline=spec.get("deadline"),
     )

@@ -7,9 +7,8 @@ first-class interface:
 
 * :class:`SatBackend` — the structural protocol every backend satisfies:
   ``new_var`` / ``add_clause`` / ``solve(assumptions=...)`` / ``model`` /
-  ``set_phase_hints`` / ``statistics``, plus the capability flags
-  ``supports_assumptions`` and ``supports_phase_hints`` that let callers
-  degrade gracefully instead of crashing on a feature a backend lacks.
+  ``statistics``, plus the capability flag ``supports_assumptions`` that
+  lets callers fail fast instead of silently deciding the wrong formula.
 * a name-keyed registry mirroring :mod:`repro.core.strategies`:
   :func:`register_backend`, :func:`create_backend`, :func:`backend_info`,
   :func:`available_backends` (every registered name) and
@@ -19,10 +18,9 @@ first-class interface:
   the seam: the accumulated clause database is serialised to DIMACS and
   piped to a configurable solver binary (minisat/kissat-style exit codes,
   ``v``-line or result-file model parsing).  Assumptions are emulated by
-  re-solving with the assumptions appended as unit clauses; phase hints are
-  silently dropped (``supports_phase_hints = False``).  When no binary is on
-  ``PATH`` the backend stays registered but reports itself unavailable, so
-  schedulers fail fast and tests skip instead of erroring.
+  re-solving with the assumptions appended as unit clauses.  When no binary
+  is on ``PATH`` the backend stays registered but reports itself
+  unavailable, so schedulers fail fast and tests skip instead of erroring.
 
 Built-in backends:
 
@@ -118,9 +116,6 @@ class SatBackend(Protocol):
     backend_name: str
     #: Whether ``solve(assumptions=...)`` is honoured (natively or emulated).
     supports_assumptions: bool
-    #: Whether :meth:`set_phase_hints` influences the search.  When False the
-    #: method must still exist and silently no-op.
-    supports_phase_hints: bool
 
     @property
     def num_vars(self) -> int: ...  # pragma: no cover - protocol
@@ -140,8 +135,6 @@ class SatBackend(Protocol):
     ) -> SolveResult: ...  # pragma: no cover - protocol
 
     def model(self) -> dict[int, bool]: ...  # pragma: no cover - protocol
-
-    def set_phase_hints(self, phases: dict[int, bool]) -> None: ...  # pragma: no cover
 
     def statistics(self) -> dict[str, float]: ...  # pragma: no cover - protocol
 
@@ -299,7 +292,6 @@ class DimacsSubprocessBackend:
 
     backend_name = "dimacs-subprocess"
     supports_assumptions = True  # emulated via unit-clause re-solve
-    supports_phase_hints = False
 
     def __init__(self, binary: Optional[str] = None) -> None:
         resolved = binary if binary is not None else find_solver_binary()
@@ -361,9 +353,6 @@ class DimacsSubprocessBackend:
         for clause in cnf:
             ok = self.add_clause(clause) and ok
         return ok
-
-    def set_phase_hints(self, phases: dict[int, bool]) -> None:
-        """Phase hints are a no-op for subprocess solvers (see the flag)."""
 
     def statistics(self) -> dict[str, float]:
         """Coarse counters: subprocess invocations and solve wall-clock.

@@ -144,7 +144,6 @@ class ChaosBackend:
         self._plan = plan if plan is not None else FaultPlan.from_environment()
         self._rng = random.Random(self._plan.seed)
         self.supports_assumptions = getattr(inner, "supports_assumptions", True)
-        self.supports_phase_hints = getattr(inner, "supports_phase_hints", True)
         self._solves = 0
         self._consecutive_transients = 0
         self._transient_faults = 0
@@ -177,9 +176,6 @@ class ChaosBackend:
 
     def add_cnf(self, cnf: CNF) -> bool:
         return self._inner.add_cnf(cnf)
-
-    def set_phase_hints(self, phases: dict[int, bool]) -> None:
-        self._inner.set_phase_hints(phases)
 
     def model(self) -> dict[int, bool]:
         return self._inner.model()

@@ -162,8 +162,7 @@ class IpasirBackend:
     ``max_conflicts`` is forwarded through CaDiCaL's ``ccadical_limit``
     when the library exports it and ignored otherwise (a budgeted probe may
     run longer; answers never change).  ``time_limit`` uses
-    ``ipasir_set_terminate`` when available.  Phase hints have no IPASIR
-    entry point and are silently dropped (``supports_phase_hints=False``).
+    ``ipasir_set_terminate`` when available.
 
     A mirror :class:`~repro.sat.cnf.CNF` of the added clauses is kept so
     the backend can participate in DIMACS export/differential tests; the
@@ -172,7 +171,6 @@ class IpasirBackend:
 
     backend_name = "ipasir"
     supports_assumptions = True
-    supports_phase_hints = False
 
     def __init__(self, library: object = None) -> None:
         if library is None:
@@ -295,9 +293,6 @@ class IpasirBackend:
         for clause in cnf:
             ok = self.add_clause(clause) and ok
         return ok
-
-    def set_phase_hints(self, phases: dict[int, bool]) -> None:
-        """IPASIR has no phase entry point; hints are dropped (see flag)."""
 
     def statistics(self) -> dict[str, float]:
         """Coarse counters: solve calls and wall-clock, plus ``conflicts``

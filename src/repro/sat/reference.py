@@ -11,10 +11,9 @@ literals, activity-only clause reduction).  It is kept for three reasons:
 * **Differential testing** — both cores must return identical SAT/UNSAT
   answers on every formula; the property tests in ``tests/sat`` cross-check
   them.
-* **Backend seam** — the solver-facing surface (``new_var``/``add_clause``/
-  ``solve``/``model``/``set_phase_hints``) is exactly what a future external
-  SAT backend has to provide, so the reference documents the minimal
-  contract.
+* **Backend seam** — its solver-facing surface (``new_var``/``add_clause``/
+  ``solve``/``model``/``statistics``) is the minimal contract of
+  :class:`repro.sat.backend.SatBackend` that every other backend provides.
 
 The algorithmic content is the seed implementation unchanged; only the class
 name, the shared ``SolveResult``/``SolverStatistics`` imports, and the
@@ -46,7 +45,6 @@ class ReferenceCDCLSolver:
     #: the algorithmic content below stays the seed implementation).
     backend_name = "reference"
     supports_assumptions = True
-    supports_phase_hints = True
 
     def __init__(self) -> None:
         self._num_vars = 0
@@ -163,14 +161,6 @@ class ReferenceCDCLSolver:
             return True
         self._attach_clause(clause, learned=False)
         return True
-
-    def set_phase_hints(self, phases: dict[int, bool]) -> None:
-        """Seed the saved phase of variables with preferred polarities."""
-        for var, value in phases.items():
-            if var <= 0:
-                raise ValueError(f"{var} is not a valid variable index")
-            self._ensure_var(var)
-            self._saved_phase[var] = bool(value)
 
     def statistics(self) -> dict[str, float]:
         """Counters as a plain dict — the :class:`~repro.sat.backend.SatBackend`

@@ -151,7 +151,6 @@ class CDCLSolver:
     #: :class:`repro.sat.backend.SatBackend` surface.
     backend_name = "flat"
     supports_assumptions = True
-    supports_phase_hints = True
 
     def __init__(self) -> None:
         """Create an empty solver."""
@@ -277,20 +276,6 @@ class CDCLSolver:
         self._attach_clause(clause, learned=False)
         return True
 
-    def set_phase_hints(self, phases: dict[int, bool]) -> None:
-        """Seed the saved phase of variables with preferred polarities.
-
-        Phase hints only steer the branching heuristic (the polarity a
-        variable is first decided with); they can never change the SAT/UNSAT
-        answer.  Phases saved later by backtracking overwrite the hints, so
-        seeding is most effective right before a :meth:`solve` call.
-        """
-        for var, value in phases.items():
-            if var <= 0:
-                raise ValueError(f"{var} is not a valid variable index")
-            self._ensure_var(var)
-            self._saved_phase[var] = bool(value)
-
     def statistics(self) -> dict[str, float]:
         """Counters as a plain dict — the :class:`~repro.sat.backend.SatBackend`
         surface of :attr:`stats` (consumers diff successive snapshots)."""
@@ -334,7 +319,7 @@ class CDCLSolver:
 
     # Heap order: higher activity first, ties broken towards the smaller
     # variable index — exactly the order the seed's linear scan produced, so
-    # phase hints and the first descent behave identically across cores.
+    # the first descent behaves identically across cores.
     def _heap_sift_up(self, i: int) -> None:
         heap, pos, act = self._heap, self._heap_pos, self._activity
         var = heap[i]

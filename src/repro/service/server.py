@@ -29,7 +29,9 @@ Endpoints
     request: a cache hit reports ``0`` and ``"cached": true``.
 
     A full request queue is answered with ``503`` before any work starts;
-    an invalid document with ``400``.
+    an invalid document with ``400`` — a malformed problem, but also an
+    unknown ``strategy`` or ``sat_backend`` or a malformed ``time_limit`` /
+    ``deadline`` (:func:`check_solver_fields`).
 
 ``GET /v1/healthz``
     Liveness plus per-worker health from the pool's bookkeeping.
@@ -49,10 +51,18 @@ turns readable it collects the
 routes it to its request's ``asyncio.Queue`` and hands the freed worker
 the next waiting job.  A timer enforces the harness timeout, the one
 event no file descriptor signals.  Nothing sleeps on a fixed interval,
-the loop never blocks on the solver, and backpressure is a 503, not an
-unbounded buffer.  A worker crash mid-solve degrades that one request to
-``termination: "backend-error"`` while the pool replaces the worker
-underneath.
+the loop never waits for a solve to finish, and backpressure is a 503,
+not an unbounded buffer.  A worker crash mid-solve degrades that one
+request to ``termination: "backend-error"`` while the pool replaces the
+worker underneath.
+
+Replacing a worker does block the loop thread, though: after a harness
+timeout or a crash, ``WorkerPool.poll`` runs ``_restart`` inline, which
+joins the old process and forks the replacement.  After a timeout it
+terminates the worker and joins for up to 5 s (then kills it and joins
+up to 5 s more); after a crash it joins for up to 10 s.  A worker that
+exits promptly costs milliseconds; one that does not stalls every
+connection for as long as the join waits.
 """
 
 from __future__ import annotations
@@ -60,6 +70,7 @@ from __future__ import annotations
 import asyncio
 import itertools
 import json
+import math
 import os
 import time
 import uuid
@@ -170,6 +181,45 @@ def problem_from_document(doc: dict):
         gates,
         shielding=doc.get("shielding"),
     )
+
+
+def check_solver_fields(doc: dict, default_strategy: str) -> None:
+    """Reject a request whose solver fields no worker could honour.
+
+    ``strategy`` (``null`` selects *default_strategy*) must name a
+    registered search strategy and ``sat_backend`` a registered SAT backend
+    (``chaos:BACKEND`` included); ``time_limit`` and ``deadline`` must be
+    ``null`` or finite non-negative numbers.  Raises ``ValueError``, which
+    the server answers with ``400`` before the request takes a queue slot.
+    """
+    from repro.core.strategies import available_strategies
+    from repro.sat.backend import backend_info
+
+    strategy = doc.get("strategy") or default_strategy
+    if strategy not in available_strategies():
+        raise ValueError(
+            f"unknown strategy {strategy!r} "
+            f"(choose from {available_strategies()})"
+        )
+    backend = doc.get("sat_backend")
+    if backend is not None:
+        if not isinstance(backend, str):
+            raise ValueError(f"sat_backend must be a string, got {backend!r}")
+        backend_info(backend)
+    for name in ("time_limit", "deadline"):
+        value = doc.get(name)
+        if value is None:
+            continue
+        if (
+            isinstance(value, bool)
+            or not isinstance(value, (int, float))
+            or not math.isfinite(value)
+            or value < 0
+        ):
+            raise ValueError(
+                f"{name} must be null or a finite non-negative number, "
+                f"got {value!r}"
+            )
 
 
 def _execute_service_solve(spec: dict) -> dict:
@@ -602,6 +652,7 @@ class ServiceServer:
                 raise ValueError("request body must be a JSON object")
             if doc.get("selftest") and not service.allow_selftest:
                 raise ValueError("selftest ops are disabled on this server")
+            check_solver_fields(doc, service.default_strategy)
             problem = problem_from_document(doc)
         except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
             service.counters["invalid_requests"] += 1

@@ -11,8 +11,8 @@ subset of the Z3 Python API used by the paper's scheduling encoding:
 per-call resource limits.
 
 Backends advertise capability flags, and the facade degrades gracefully
-along them: phase hints are silently dropped on a backend without
-``supports_phase_hints``, and the per-check statistics only report the
+along them: assumptions are refused (not dropped) on a backend without
+``supports_assumptions``, and the per-check statistics only report the
 counters (and derived throughput rates) the backend actually keeps.
 
 Two operating modes exist:
@@ -177,7 +177,6 @@ class Solver:
         self._encoder: Optional[ExpressionEncoder] = None
         self._encoded_constraints = 0
         self._encoded_variables = 0
-        self._pending_phase_hints: dict = {}
         if incremental:
             self._sat_solver = create_backend(self._backend_name)
             self._encoder = ExpressionEncoder(self._sat_solver)
@@ -246,59 +245,6 @@ class Solver:
         del self._constraints[length:]
 
     # ------------------------------------------------------------------ #
-    # Phase hints
-    # ------------------------------------------------------------------ #
-    def set_phase_hints(self, hints: dict) -> None:
-        """Suggest initial values for variables to the SAT core's branching.
-
-        *hints* maps :class:`~repro.smt.terms.BoolVar` to ``bool`` and
-        :class:`~repro.smt.terms.IntVar` to ``int`` (clamped to the
-        variable's domain).  Hints are *consumed by the next* :meth:`check`
-        call: they seed the CDCL solver's saved phases after the delta
-        encoding, steering which polarity each variable is first decided
-        with.  They are pure heuristics — a hinted check returns exactly the
-        same SAT/UNSAT/UNKNOWN answer as an unhinted one.
-        """
-        for var, value in hints.items():
-            if isinstance(var, T.BoolVar):
-                self._pending_phase_hints[var] = bool(value)
-            elif isinstance(var, T.IntVar):
-                self._pending_phase_hints[var] = int(value)
-            else:
-                raise TypeError(f"cannot hint a phase for {var!r}")
-
-    def _apply_phase_hints(
-        self, sat_solver: SatBackend, encoder: ExpressionEncoder
-    ) -> None:
-        """Translate and flush the pending hints into *sat_solver*.
-
-        A backend that advertises ``supports_phase_hints = False`` silently
-        drops them: hints are pure heuristics, so "ignored" is a sound
-        degradation (answers never depend on them).
-        """
-        if not self._pending_phase_hints:
-            return
-        if not getattr(sat_solver, "supports_phase_hints", True):
-            self._pending_phase_hints.clear()
-            return
-        phases: dict[int, bool] = {}
-
-        def hint_literal(lit: int, value: bool) -> None:
-            phases[abs(lit)] = value if lit > 0 else not value
-
-        for var, value in self._pending_phase_hints.items():
-            if isinstance(var, T.BoolVar):
-                hint_literal(encoder.encode_bool(var), bool(value))
-            else:
-                vec = encoder.encode_int(var)
-                clamped = max(var.lo, min(var.hi, value))
-                raw = clamped if clamped >= 0 else clamped + (1 << vec.width)
-                for i, bit in enumerate(vec.bits):
-                    hint_literal(bit, bool((raw >> i) & 1))
-        self._pending_phase_hints.clear()
-        sat_solver.set_phase_hints(phases)
-
-    # ------------------------------------------------------------------ #
     # Solving
     # ------------------------------------------------------------------ #
     def check(
@@ -356,13 +302,11 @@ class Solver:
         if self._incremental:
             self._encoded_variables = len(self._variables)
             self._encoded_constraints = len(self._constraints)
-        self._apply_phase_hints(sat_solver, encoder)
         assumption_literals = [encoder.encode_bool(a) for a in assumptions]
         if assumption_literals and not getattr(
             sat_solver, "supports_assumptions", True
         ):
-            # Unlike phase hints, assumptions are semantics: a backend that
-            # ignored them would decide the unconstrained formula and
+            # Assumptions are semantics: a backend that ignored them would decide the unconstrained formula and
             # silently certify wrong optima.  Fail loudly instead.
             raise RuntimeError(
                 f"SAT backend {self._backend_name!r} does not support "

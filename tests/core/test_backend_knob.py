@@ -67,8 +67,6 @@ def test_smt_solver_on_the_subprocess_backend(fake_sat_solver):
     x = solver.int_var("x", 0, 7)
     flag = solver.bool_var("flag")
     solver.add(x == 5)
-    # Phase hints must silently no-op (the backend lacks the capability).
-    solver.set_phase_hints({x: 2, flag: True})
     assert solver.check().is_sat()
     assert solver.model()[x] == 5
     stats = solver.statistics()
@@ -96,13 +94,16 @@ def test_search_context_builds_instances_on_the_requested_backend():
     assert context.instance.solver.backend == "reference"
 
 
-@pytest.mark.parametrize("strategy", ["linear", "bisection", "warmstart"])
+@pytest.mark.parametrize("strategy", ["linear", "coldstart", "bisection"])
 def test_reference_backend_certifies_identical_optima(strategy):
     problem = reduced_problem("bottom", "chain-2")
-    flat = SMTScheduler(strategy=strategy).schedule(problem)
-    reference = SMTScheduler(strategy=strategy, sat_backend="reference").schedule(
-        problem
+    # ``coldstart`` is the linear search re-encoding every horizon.
+    options = dict(
+        strategy="linear" if strategy == "coldstart" else strategy,
+        incremental=strategy != "coldstart",
     )
+    flat = SMTScheduler(**options).schedule(problem)
+    reference = SMTScheduler(**options, sat_backend="reference").schedule(problem)
     assert flat.sat_backend == "flat"
     assert reference.sat_backend == "reference"
     for report in (flat, reference):

@@ -18,6 +18,8 @@ path has work to lose, and every bound claim can be checked against the
 known optimum.
 """
 
+import itertools
+
 import pytest
 
 from repro.arch import reduced_layout
@@ -32,8 +34,14 @@ from repro.core.report import (
 )
 from repro.core.scheduler import SMTScheduler
 from repro.core.validator import validate_schedule
+from repro.sat.chaos import ChaosBackend
 
-STRATEGIES = ("linear", "bisection", "warmstart", "portfolio")
+#: Every scheduler configuration under test: the registered strategies
+#: plus ``coldstart``, the linear strategy with ``incremental=False`` (a
+#: fresh encoding and solver per horizon).
+STRATEGIES = ("linear", "coldstart", "bisection", "portfolio")
+#: The configurations that run one search in-process (no portfolio race).
+SINGLE_SEARCHES = ("linear", "coldstart", "bisection")
 
 #: The certified optimum of the triangle on the reduced bottom layout.
 TRIANGLE_OPTIMUM = 5
@@ -42,6 +50,13 @@ TRIANGLE_OPTIMUM = 5
 def triangle_problem():
     layout = reduced_layout("bottom", x_max=2, h_max=1, v_max=1, c_max=2, r_max=2)
     return SchedulingProblem.from_gates(layout, 3, [(0, 1), (1, 2), (0, 2)])
+
+
+def make_scheduler(strategy, **kwargs):
+    """The :class:`SMTScheduler` running configuration *strategy*."""
+    if strategy == "coldstart":
+        return SMTScheduler(strategy="linear", incremental=False, **kwargs)
+    return SMTScheduler(strategy=strategy, **kwargs)
 
 
 def assert_sound(report, problem):
@@ -64,7 +79,7 @@ def test_expired_deadline_degrades_every_strategy_to_a_witness(strategy):
     ``termination="deadline"`` with a valid fallback schedule and a sound
     interval — never an exception, never a lost witness."""
     problem = triangle_problem()
-    report = SMTScheduler(strategy=strategy, deadline=0.0).schedule(problem)
+    report = make_scheduler(strategy, deadline=0.0).schedule(problem)
     assert report.termination == TERMINATION_DEADLINE
     assert not report.optimal
     assert report.found  # the structured witness survives as the schedule
@@ -75,7 +90,7 @@ def test_expired_deadline_degrades_every_strategy_to_a_witness(strategy):
 @pytest.mark.parametrize("strategy", STRATEGIES)
 def test_generous_deadline_still_certifies(strategy):
     problem = triangle_problem()
-    report = SMTScheduler(strategy=strategy, deadline=300.0).schedule(problem)
+    report = make_scheduler(strategy, deadline=300.0).schedule(problem)
     assert report.termination == TERMINATION_CERTIFIED
     assert report.optimal
     assert report.schedule.num_stages == TRIANGLE_OPTIMUM
@@ -126,7 +141,7 @@ def test_mid_search_expiry_keeps_unsat_lifted_bounds(monkeypatch):
 # --------------------------------------------------------------------------- #
 # Chaos: transient faults, retry exhaustion, permanent crashes
 # --------------------------------------------------------------------------- #
-@pytest.mark.parametrize("strategy", STRATEGIES[:3])
+@pytest.mark.parametrize("strategy", SINGLE_SEARCHES)
 def test_transient_only_faults_certify_the_fault_free_optimum(
     strategy, monkeypatch
 ):
@@ -136,10 +151,8 @@ def test_transient_only_faults_certify_the_fault_free_optimum(
     retries it burned."""
     monkeypatch.setenv("REPRO_CHAOS_SPEC", "seed=7,transient=1.0,consecutive=1")
     problem = triangle_problem()
-    report = SMTScheduler(strategy=strategy, sat_backend="chaos:flat").schedule(
-        problem
-    )
-    baseline = SMTScheduler(strategy=strategy, sat_backend="flat").schedule(
+    report = make_scheduler(strategy, sat_backend="chaos:flat").schedule(problem)
+    baseline = make_scheduler(strategy, sat_backend="flat").schedule(
         triangle_problem()
     )
     assert report.termination == TERMINATION_CERTIFIED
@@ -178,7 +191,7 @@ def test_retry_exhaustion_degrades_with_the_analytic_interval(monkeypatch):
     assert_sound(report, problem)
 
 
-@pytest.mark.parametrize("strategy", STRATEGIES[:3])
+@pytest.mark.parametrize("strategy", SINGLE_SEARCHES)
 def test_permanent_crash_mid_search_keeps_completed_probe_bounds(
     strategy, monkeypatch
 ):
@@ -186,14 +199,28 @@ def test_permanent_crash_mid_search_keeps_completed_probe_bounds(
     ``backend-error`` — and the horizons decided *before* the crash still
     tighten the reported interval."""
     monkeypatch.setenv("REPRO_CHAOS_SPEC", "crash-after=1")
+    if strategy == "coldstart":
+        # Every cold probe runs a backend of its own, whose solve count
+        # starts at zero, so a per-backend count never reaches the crash.
+        # Count the solves of the whole search instead: the backend then
+        # dies on the second probe, after the first one decided a horizon.
+        solves = itertools.count()
+        solve = ChaosBackend.solve
+
+        def solve_counted_per_search(self, *args, **kwargs):
+            self._solves = next(solves)
+            return solve(self, *args, **kwargs)
+
+        monkeypatch.setattr(ChaosBackend, "solve", solve_counted_per_search)
     problem = triangle_problem()
-    report = SMTScheduler(strategy=strategy, sat_backend="chaos:flat").schedule(
-        problem
-    )
+    report = make_scheduler(strategy, sat_backend="chaos:flat").schedule(problem)
     assert report.termination == TERMINATION_BACKEND_ERROR
     assert not report.optimal
     assert report.found
     assert_sound(report, problem)
+    if strategy == "coldstart":
+        # The refuted first probe (the analytic bound 4) still lifts it.
+        assert report.lower_bound == TRIANGLE_OPTIMUM
 
 
 def test_linear_crash_after_unsat_probe_lifts_the_lower_bound(monkeypatch):
@@ -213,7 +240,7 @@ def test_linear_crash_after_unsat_probe_lifts_the_lower_bound(monkeypatch):
 # --------------------------------------------------------------------------- #
 # UNKNOWN probes never refute (the soundness regression tests)
 # --------------------------------------------------------------------------- #
-@pytest.mark.parametrize("strategy", STRATEGIES[:3])
+@pytest.mark.parametrize("strategy", SINGLE_SEARCHES)
 def test_unknown_probes_never_lift_the_lower_bound(strategy, monkeypatch):
     """The soundness invariant: an UNKNOWN probe at S must not be treated
     as a refuted horizon.  With every probe forced to UNKNOWN the search
@@ -222,9 +249,7 @@ def test_unknown_probes_never_lift_the_lower_bound(strategy, monkeypatch):
     claim infeasibility or optimality."""
     monkeypatch.setenv("REPRO_CHAOS_SPEC", "unknown=1.0")
     problem = triangle_problem()
-    report = SMTScheduler(strategy=strategy, sat_backend="chaos:flat").schedule(
-        problem
-    )
+    report = make_scheduler(strategy, sat_backend="chaos:flat").schedule(problem)
     assert report.termination == TERMINATION_DEADLINE  # degraded, not refuted
     assert report.termination != TERMINATION_INFEASIBLE
     assert not report.optimal

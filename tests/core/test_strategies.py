@@ -1,15 +1,14 @@
 """Tests for the pluggable minimum-stage search strategies.
 
-Covers the registry, the agreement of linear/bisection/warmstart on the
-certified optimum across sub-instances of every registered code, the
-soundness of the analytic lower bound against certified optima, and the
-no-op guarantee of phase hints on SAT/UNSAT answers.
+Covers the registry, the agreement of linear/bisection on the certified
+optimum across sub-instances of every registered code, the soundness of the
+analytic lower bound against certified optima, and the portfolio race.
 """
 
 import pytest
 
 from repro.arch import reduced_layout
-from repro.core.encoding import EncodedInstance, encode_incremental_problem
+from repro.core.encoding import EncodedInstance
 from repro.core.problem import SchedulingProblem
 from repro.core.scheduler import SMTScheduler
 from repro.core.strategies import (
@@ -20,7 +19,6 @@ from repro.core.strategies import (
     available_strategies,
     get_strategy,
     register_strategy,
-    seeded_phase_hints,
 )
 from repro.core.strategies.base import accumulate_statistics
 from repro.core.strategies.portfolio import DEFAULT_CONFIGS as PORTFOLIO_CONFIGS
@@ -28,9 +26,8 @@ from repro.core.validator import validate_schedule
 from repro.evaluation.runner import SMT_INSTANCES
 from repro.qec import available_codes, get_code
 from repro.qec.state_prep import state_preparation_circuit
-from repro.smt import Solver
 
-STRATEGIES = ("linear", "bisection", "warmstart")
+STRATEGIES = ("linear", "bisection")
 
 
 def tiny_layout(kind):
@@ -62,7 +59,7 @@ def code_subproblem(code_name, kind="bottom", max_qubits=4):
 # Registry
 # --------------------------------------------------------------------------- #
 def test_registry_lists_builtin_strategies():
-    assert available_strategies() == ["bisection", "linear", "portfolio", "warmstart"]
+    assert available_strategies() == ["bisection", "linear", "portfolio"]
 
 
 def test_unknown_strategy_rejected():
@@ -99,9 +96,8 @@ def test_bisection_requires_incremental_solving():
             tiny_problem("none", 2, [(0, 1)]), SearchLimits(incremental=False)
         )
     # ... and the scheduler facade rejects the combination eagerly.
-    for name in ("bisection", "warmstart"):
-        with pytest.raises(ValueError):
-            SMTScheduler(strategy=name, incremental=False)
+    with pytest.raises(ValueError):
+        SMTScheduler(strategy="bisection", incremental=False)
     SMTScheduler(strategy="linear", incremental=False)  # fine
 
 
@@ -110,7 +106,7 @@ def test_bisection_requires_incremental_solving():
 # --------------------------------------------------------------------------- #
 @pytest.mark.parametrize("code_name", available_codes())
 def test_strategies_agree_on_stage_counts_for_all_codes(code_name):
-    """linear/bisection/warmstart certify the same optimum on a reduced
+    """linear/bisection certify the same optimum on a reduced
     sub-instance of every registered code's preparation circuit."""
     problem = code_subproblem(code_name)
     stage_counts = {}
@@ -348,66 +344,6 @@ def test_bisection_falls_back_to_witness_under_harsh_limits():
 
 
 # --------------------------------------------------------------------------- #
-# Phase hints
-# --------------------------------------------------------------------------- #
-def test_phase_hints_never_change_answers():
-    """The same formula answers identically with and without hints."""
-
-    def build(hinted):
-        solver = Solver(incremental=True)
-        x = solver.int_var("x", 0, 7)
-        a = solver.bool_var("a")
-        solver.add(a | (x >= 5))
-        if hinted:
-            solver.set_phase_hints({x: 7, a: False})
-        return solver, x, a
-
-    for hinted in (False, True):
-        solver, x, a = build(hinted)
-        assert solver.check().is_sat()
-        solver.add(x <= 4)
-        assert solver.check(assumptions=[~a]).is_unsat()
-        assert solver.check().is_sat()
-
-
-def test_phase_hints_bias_the_first_model():
-    solver = Solver(incremental=True)
-    x = solver.int_var("x", 0, 7)
-    solver.set_phase_hints({x: 5})
-    assert solver.check().is_sat()
-    assert solver.model()[x] == 5
-
-
-def test_phase_hints_clamp_out_of_domain_values():
-    solver = Solver(incremental=True)
-    x = solver.int_var("x", 0, 3)
-    solver.set_phase_hints({x: 99})
-    assert solver.check().is_sat()
-    assert solver.model()[x] == 3
-
-
-def test_phase_hints_reject_non_variables():
-    solver = Solver()
-    with pytest.raises(TypeError):
-        solver.set_phase_hints({"x": True})
-
-
-def test_warmstart_matches_bisection_answers_with_and_without_budget():
-    """Hints must not perturb SAT/UNSAT outcomes of the scheduler either."""
-    problem = tiny_problem("bottom", 3, [(0, 1), (1, 2)])
-    plain = SMTScheduler(time_limit_per_instance=300, strategy="bisection").schedule(
-        problem
-    )
-    warm = SMTScheduler(time_limit_per_instance=300, strategy="warmstart").schedule(
-        problem
-    )
-    assert warm.found and plain.found
-    assert warm.schedule.num_stages == plain.schedule.num_stages
-    assert warm.optimal == plain.optimal
-    assert warm.stages_tried == plain.stages_tried
-
-
-# --------------------------------------------------------------------------- #
 # Portfolio racing
 # --------------------------------------------------------------------------- #
 def test_portfolio_certifies_the_bisection_optimum_on_every_smoke_cell():
@@ -454,7 +390,7 @@ def test_portfolio_race_first_certificate_wins_and_cancels_losers():
     assert report.found and report.optimal
     assert report.schedule.num_stages == 5
     assert report.winner["mode"] == "raced"
-    assert report.winner["strategy"] in {"bisection", "warmstart", "linear"}
+    assert report.winner["strategy"] in {"bisection", "linear"}
     raced = report.winner["raced_configs"]
     assert raced == len(PORTFOLIO_CONFIGS)
     assert report.winner["finished"] + report.winner["cancelled"] <= raced
@@ -496,32 +432,3 @@ def test_portfolio_requires_incremental_limits():
         )
     with pytest.raises(ValueError):
         SMTScheduler(strategy="portfolio", incremental=False)
-
-
-# --------------------------------------------------------------------------- #
-# Seeded phase hints (the portfolio's diversification knob)
-# --------------------------------------------------------------------------- #
-def test_seeded_phase_hints_are_deterministic():
-    problem = tiny_problem("bottom", 3, [(0, 1), (1, 2)])
-    instance = encode_incremental_problem(problem, num_stages=2, max_stages=4)
-    first = seeded_phase_hints(instance, seed=7)
-    second = seeded_phase_hints(instance, seed=7)
-    different = seeded_phase_hints(instance, seed=8)
-    assert first == second
-    assert first != different
-    assert all(0 <= v < instance.max_stages for k, v in first.items()
-               if k in instance.variables.gate_stage)
-
-
-@pytest.mark.parametrize("seed", [1, 2, 31337])
-def test_phase_seeded_search_preserves_the_optimum(seed):
-    problem = tiny_problem("bottom", 3, [(0, 1), (1, 2), (0, 2)])
-    plain = SMTScheduler(time_limit_per_instance=300, strategy="bisection").schedule(
-        problem
-    )
-    seeded = SMTScheduler(
-        time_limit_per_instance=300, strategy="bisection", phase_seed=seed
-    ).schedule(problem)
-    assert seeded.found and seeded.optimal
-    assert seeded.schedule.num_stages == plain.schedule.num_stages
-    assert seeded.stages_tried == plain.stages_tried

@@ -32,9 +32,9 @@ from repro.evaluation.runner import (
 def test_build_suite_shapes():
     # 5 instances on the none/bottom layouts plus the 3 airborne-feasible
     # instances on the shielded storage-less pseudo-layout = 13 cells per
-    # strategy.
+    # strategy (linear, coldstart, bisection, portfolio).
     smt = build_suite("smt")
-    assert len(smt) == 5 * (2 * 5 + 3)
+    assert len(smt) == 4 * (2 * 5 + 3)
     assert all(inst.suite == "smt" for inst in smt)
     table1 = build_suite("table1", codes=["steane"])
     assert len(table1) == 3  # three layouts
@@ -366,7 +366,7 @@ def test_execute_smt_portfolio_spec_records_winner():
     assert payload["found"] and payload["optimal"]
     assert payload["num_stages"] == 3
     winner = payload["winner"]
-    assert winner["strategy"] in {"bisection", "warmstart", "linear"}
+    assert winner["strategy"] in {"bisection", "linear"}
     assert winner["mode"] in {"inline", "raced"}
     json.dumps(payload)  # payloads must stay JSON-serialisable
 
@@ -447,7 +447,7 @@ def test_load_results_tolerates_documents_without_the_newer_fields(tmp_path):
 
 def test_check_portfolio_regression_accepts_matching_batches():
     baseline = [_fake_smt_result("bisection")]
-    portfolio = [_fake_smt_result("portfolio", winner={"strategy": "warmstart"})]
+    portfolio = [_fake_smt_result("portfolio", winner={"strategy": "linear"})]
     assert check_portfolio_regression(baseline, portfolio) == [("bottom", "chain-2")]
 
 

@@ -83,7 +83,6 @@ def test_in_process_backends_satisfy_the_protocol():
         assert isinstance(solver, SatBackend)
         assert solver.backend_name == name
         assert solver.supports_assumptions
-        assert solver.supports_phase_hints
 
 
 def test_unknown_backend_name_raises_with_listing():
@@ -107,7 +106,6 @@ def test_fake_solver_makes_the_subprocess_backend_usable(fake_solver):
     assert isinstance(backend, DimacsSubprocessBackend)
     assert backend.binary == str(fake_solver)
     assert isinstance(backend, SatBackend)
-    assert not backend.supports_phase_hints
 
 
 # --------------------------------------------------------------------------- #
@@ -276,14 +274,6 @@ def test_subprocess_backend_empty_clause_short_circuits(fake_solver):
     assert backend.add_clause([]) is False
     assert backend.solve() is SolveResult.UNSAT
     assert backend.statistics()["subprocess_solves"] == 0  # no subprocess run
-
-
-def test_subprocess_backend_phase_hints_are_a_silent_noop(fake_solver):
-    backend = create_backend("dimacs-subprocess")
-    v = backend.new_var()
-    backend.add_clause([v, -v])
-    backend.set_phase_hints({v: True})  # must not raise
-    assert backend.solve() is SolveResult.SAT
 
 
 def test_subprocess_backend_statistics_count_solves(fake_solver):

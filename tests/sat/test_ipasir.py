@@ -107,7 +107,6 @@ def test_toy_library_loads_with_signature(toy_env):
     assert isinstance(backend, IpasirBackend)
     assert backend.signature == "toy-dpll-1.0"
     assert backend.supports_assumptions
-    assert not backend.supports_phase_hints
 
 
 def test_backend_solves_sat_and_unsat_natively(toy_env):

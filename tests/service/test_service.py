@@ -10,6 +10,8 @@ crash containment.
 import asyncio
 import time
 
+import pytest
+
 from repro.core.report import TERMINATION_CERTIFIED
 from repro.evaluation.runner import SMT_INSTANCES
 from repro.evaluation.executor import TASK_OK
@@ -20,7 +22,7 @@ from repro.service import (
     start_service,
     stream_schedule,
 )
-from repro.service.server import TERMINATION_PENDING
+from repro.service.server import TERMINATION_PENDING, check_solver_fields
 
 #: Triangle under the relabeling 0->2, 1->0, 2->1 with shuffled gate and
 #: endpoint order: byte-distinct from SMT_INSTANCES["triangle"] but
@@ -434,6 +436,61 @@ def test_invalid_documents_get_400():
         assert stats["counters"]["requests_total"] == 0
 
     _run(scenario, jobs=1)
+
+
+@pytest.mark.parametrize(
+    "solver_fields",
+    [
+        {"strategy": "nope"},
+        {"strategy": "warmstart"},
+        {"sat_backend": "nope"},
+        {"time_limit": "abc"},
+        {"deadline": "abc"},
+        {"deadline": -5},
+        {"sat_backend": "chaos:nope"},
+        {"sat_backend": 5},
+        {"time_limit": float("inf")},
+        {"deadline": True},
+    ],
+    ids=[
+        "unknown-strategy",
+        "deleted-strategy",
+        "unknown-backend",
+        "time-limit-string",
+        "deadline-string",
+        "negative-deadline",
+        "unknown-chaos-inner-backend",
+        "non-string-backend",
+        "infinite-time-limit",
+        "boolean-deadline",
+    ],
+)
+def test_bad_solver_fields_get_400_before_queueing(solver_fields):
+    """A request no worker could run is refused at admission: it takes no
+    queue slot, no worker round trip and no cache lookup."""
+
+    async def scenario(running):
+        status, body = await stream_schedule(
+            running.host, running.port, _doc("single-gate", **solver_fields)
+        )
+        assert status == 400
+        assert "error" in body[0]
+        _status, stats = await get_json(running.host, running.port, "/v1/stats")
+        assert stats["counters"]["invalid_requests"] == 1
+        assert stats["counters"]["requests_total"] == 0
+        assert stats["counters"]["cache_misses"] == 0
+
+    _run(scenario, jobs=1)
+
+
+def test_admission_accepts_every_runnable_solver_field():
+    for fields in (
+        {},
+        {"strategy": None, "sat_backend": None, "deadline": None},
+        {"strategy": "linear", "sat_backend": "chaos:flat"},
+        {"strategy": "portfolio", "time_limit": 0, "deadline": 2.5},
+    ):
+        check_solver_fields(fields, "bisection")
 
 
 def test_unknown_routes_and_methods():
