@@ -532,7 +532,7 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     if args.command == "bounds":
         from repro.arch import reduced_layout
-        from repro.core.strategies.bisection import (
+        from repro.core.strategies.search import (
             structured_upper_bound,
             witness_source,
         )

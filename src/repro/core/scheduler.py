@@ -6,12 +6,7 @@ searches over ``S`` with a pluggable *strategy*
 (:mod:`repro.core.strategies`):
 
 * ``linear`` (default) — the paper's Sec. V-A procedure: increment ``S``
-  from the analytic lower bound until the first satisfiable horizon.  With
-  ``incremental=True`` one growable
-  :class:`~repro.core.encoding.IncrementalInstance` persists across
-  horizons (assumption-guarded activation literals, learned clauses
-  survive); ``incremental=False`` selects the seed's cold-start reference
-  path (fresh encoding and solver per horizon).
+  from the analytic lower bound until the first satisfiable horizon.
 * ``bisection`` — binary search between the
   :class:`~repro.core.problem.SchedulingProblem` IR's analytic lower bound
   and the structured scheduler's certified upper bound; solves strictly
@@ -23,6 +18,15 @@ searches over ``S`` with a pluggable *strategy*
   configuration is recorded on ``report.winner``.  Narrow analytic
   intervals are delegated inline to bisection instead of paying process
   fan-out.
+
+``linear`` and ``bisection`` differ only in the horizon they pick next:
+one driver (:func:`repro.core.strategies.search.search`) runs the probe
+loop and the graceful-degradation contract for both.  With
+``incremental=True`` its probes share one growable
+:class:`~repro.core.encoding.IncrementalInstance` (assumption-guarded
+activation literals, learned clauses survive); ``incremental=False``
+(linear only) selects the seed's cold-start reference context (fresh
+encoding and solver per horizon).
 
 All strategies return a :class:`SchedulerReport` recording the analytic
 bounds *with their certificate provenance* (``lower_bound_source`` names
@@ -82,12 +86,17 @@ class SMTScheduler:
         keeps the solver default of
         :data:`repro.smt.solver.DEFAULT_BACKEND_RETRIES`).
         """
+        limits = SearchLimits(
+            max_stages=max_stages,
+            max_conflicts=max_conflicts_per_instance,
+            time_limit=time_limit_per_instance,
+            incremental=incremental,
+            sat_backend=sat_backend,
+            backend_retries=backend_retries,
+        )
         # Resolve eagerly so unknown names and incompatible configurations
         # fail at construction time, not mid-batch.
-        if get_strategy(strategy).requires_incremental and not incremental:
-            raise ValueError(
-                f"the {strategy!r} strategy requires an incremental scheduler"
-            )
+        get_strategy(strategy).check_limits(limits)
         info = backend_info(sat_backend)
         if not info.is_available():
             raise ValueError(
@@ -99,14 +108,7 @@ class SMTScheduler:
         self._strategy = strategy
         self._backend_name = info.name
         self._deadline_seconds = deadline
-        self._limits = SearchLimits(
-            max_stages=max_stages,
-            max_conflicts=max_conflicts_per_instance,
-            time_limit=time_limit_per_instance,
-            incremental=incremental,
-            sat_backend=sat_backend,
-            backend_retries=backend_retries,
-        )
+        self._limits = limits
 
     @property
     def strategy(self) -> str:

@@ -11,6 +11,14 @@ Importing this package registers the built-in strategies:
   per extra usable SAT backend) across worker processes; the first
   certified optimum wins and the losers are cancelled.
 
+``linear`` and ``bisection`` are two horizon orders over one driver,
+:func:`repro.core.strategies.search.search`, which owns the probe loop and
+the graceful-degradation contract (deadline checks between probes,
+backend failures, sound bound lifting, the structured-witness fallback
+and the termination verdict).  The probes run through a context
+(:mod:`repro.core.strategies.base`): one growable incremental instance, or
+a fresh cold-start encoding per horizon with ``incremental=False``.
+
 Strategies are looked up by name through :func:`get_strategy`; third-party
 strategies can join the registry with :func:`register_strategy`.
 """
@@ -23,8 +31,11 @@ from repro.core.strategies.base import (
     get_strategy,
     register_strategy,
 )
-from repro.core.strategies.linear import LinearStrategy
-from repro.core.strategies.bisection import BisectionStrategy, structured_upper_bound
+from repro.core.strategies.search import (
+    BisectionStrategy,
+    LinearStrategy,
+    structured_upper_bound,
+)
 from repro.core.strategies.portfolio import PortfolioStrategy
 
 __all__ = [

@@ -7,12 +7,19 @@ order, to find the minimum stage count of a
 :class:`~repro.core.scheduler.SMTScheduler` facade looks strategies up by
 name in the registry populated by :func:`register_strategy`.
 
-:class:`SearchContext` owns the growable
-:class:`~repro.core.encoding.IncrementalInstance` that all SMT-backed
-strategies share: it lazily (re)builds the instance with capacity headroom,
-extends it towards larger horizons, and decides smaller horizons on the same
-instance through assumption literals — so learned clauses persist across
-SAT *and* UNSAT horizons regardless of the probing order.
+A search decides its probes through a *context* with three calls —
+``decide(horizon)``, ``extract(horizon, metadata)`` and ``statistics()``:
+
+* :class:`SearchContext` owns the growable
+  :class:`~repro.core.encoding.IncrementalInstance` the SMT-backed
+  strategies share: it lazily (re)builds the instance with capacity
+  headroom, extends it towards larger horizons, and decides smaller
+  horizons on the same instance through assumption literals — so learned
+  clauses persist across SAT *and* UNSAT horizons regardless of the
+  probing order.
+* :class:`ColdStartContext` is the ``incremental=False`` reference path: a
+  fresh :class:`~repro.core.encoding.EncodedInstance` and solver per
+  horizon.
 """
 
 from __future__ import annotations
@@ -22,7 +29,12 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 from repro.core.budget import Deadline
-from repro.core.encoding import IncrementalInstance, encode_incremental_problem
+from repro.core.encoding import (
+    EncodedInstance,
+    IncrementalInstance,
+    encode_incremental_problem,
+    encode_problem,
+)
 from repro.core.problem import SchedulingProblem
 from repro.smt import CheckResult
 
@@ -53,8 +65,9 @@ class SearchLimits:
     max_stages: int = 32
     max_conflicts: Optional[int] = None
     time_limit: Optional[float] = None
-    #: Honoured by the linear strategy only: ``False`` re-encodes every
-    #: horizon from scratch (the seed's cold-start reference behaviour).
+    #: ``False`` re-encodes every horizon from scratch
+    #: (:class:`ColdStartContext`, the seed's cold-start reference
+    #: behaviour); strategies with ``requires_incremental`` refuse it.
     incremental: bool = True
     #: Registry name of the SAT backend deciding every probe
     #: (:mod:`repro.sat.backend`).  ``None`` selects the default in-process
@@ -146,6 +159,50 @@ class SearchContext:
         return instance
 
 
+class ColdStartContext:
+    """A fresh cold-start encoding and solver for every probed horizon."""
+
+    def __init__(self, problem: SchedulingProblem, limits: SearchLimits) -> None:
+        self.problem = problem
+        self.limits = limits
+        self._instance: Optional[EncodedInstance] = None
+        # Each probe runs a solver of its own whose retry count starts at
+        # zero; ``backend_retries`` stays a running total over the search
+        # like the incremental solver's.
+        self._retries = 0
+        self._retries_before = 0
+
+    def decide(self, horizon: int) -> CheckResult:
+        """Encode *horizon* stages from scratch and decide them."""
+        self._retries_before = self._retries
+        self._instance = encode_problem(
+            self.problem,
+            horizon,
+            backend=self.limits.sat_backend,
+            backend_retries=self.limits.backend_retries,
+        )
+        return self._instance.check(
+            max_conflicts=self.limits.max_conflicts,
+            time_limit=self.limits.time_limit,
+            deadline=self.limits.deadline,
+        )
+
+    def extract(self, horizon: int, metadata: dict | None = None) -> "Schedule":
+        """Extract the schedule of the last SAT probe (*horizon* stages)."""
+        if self._instance is None:
+            raise RuntimeError("no instance built yet; call decide() first")
+        return self._instance.extract_schedule(metadata=metadata)
+
+    def statistics(self) -> dict[str, float]:
+        """Statistics of the most recent probe, retries summed over all."""
+        if self._instance is None:
+            return {}
+        probe = self._instance.statistics()
+        self._retries = self._retries_before + probe.get("backend_retries", 0)
+        probe["backend_retries"] = self._retries
+        return probe
+
+
 def accumulate_statistics(
     total: dict[str, float], probe: dict[str, float]
 ) -> dict[str, float]:
@@ -184,6 +241,13 @@ class SearchStrategy(ABC):
     #: Whether the strategy needs ``limits.incremental`` (checked eagerly by
     #: the scheduler constructor so bad configurations fail fast).
     requires_incremental: bool = False
+
+    def check_limits(self, limits: SearchLimits) -> None:
+        """Raise ``ValueError`` when this strategy cannot honour *limits*."""
+        if self.requires_incremental and not limits.incremental:
+            raise ValueError(
+                f"the {self.name!r} strategy requires an incremental scheduler"
+            )
 
     @abstractmethod
     def run(

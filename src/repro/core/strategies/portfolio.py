@@ -37,10 +37,11 @@ from repro.core.strategies.base import (
     SearchStrategy,
     register_strategy,
 )
-from repro.core.strategies.bisection import (
+from repro.core.strategies.search import (
     BisectionStrategy,
+    analytic_report,
+    degrade,
     structured_upper_bound,
-    witness_source,
 )
 
 #: The default racing configurations, in priority order (ties in the race go
@@ -105,10 +106,7 @@ class PortfolioStrategy(SearchStrategy):
         metadata: dict | None = None,
     ) -> SchedulerReport:
         start = time.monotonic()
-        if not limits.incremental:
-            raise ValueError(
-                f"the {self.name!r} strategy requires an incremental scheduler"
-            )
+        self.check_limits(limits)
         # The schedule must advertise the portfolio whichever configuration
         # produces it (the winning configuration is recorded separately).
         metadata = {**(metadata or {}), "strategy": self.name}
@@ -260,9 +258,9 @@ class PortfolioStrategy(SearchStrategy):
         (termination verdict, witness fallback, tightened interval), so the
         first one with a schedule is the best effort.  With nothing
         finished — the race expired or every worker failed — the portfolio
-        degrades itself: analytic interval, structured witness as the
-        schedule, and a termination verdict telling deadline expiry apart
-        from backend failure.
+        degrades itself through the search driver's degrade step: analytic
+        interval, structured witness as the schedule, and a termination
+        verdict telling deadline expiry apart from backend failure.
         """
         finished: dict[int, SchedulerReport] = outcome.finished
         for index in sorted(finished):
@@ -270,25 +268,12 @@ class PortfolioStrategy(SearchStrategy):
                 return finished[index]
         if finished:
             return finished[min(finished)]
-        breakdown = problem.bound_breakdown()
-        report = SchedulerReport(
-            schedule=None,
-            optimal=False,
-            strategy=self.name,
-            lower_bound=breakdown.total,
-            lower_bound_source=breakdown.source,
-        )
+        report = analytic_report(problem, self.name)
         expired = limits.deadline is not None and limits.deadline.expired()
-        report.termination = (
+        termination = (
             TERMINATION_DEADLINE
             if expired or not outcome.errors
             else TERMINATION_BACKEND_ERROR
         )
-        if witness is not None:
-            report.upper_bound = witness.num_stages
-            report.upper_bound_source = witness_source(witness)
-            if witness.num_stages <= limits.max_stages:
-                witness.metadata.update(metadata)
-                witness.metadata.setdefault("optimal", False)
-                report.schedule = witness
+        degrade(report, termination, witness, limits, metadata)
         return report

@@ -65,7 +65,7 @@ stages — which meets the per-qubit-load lower bound, so the witness is
 
 The airborne witness is also valid (and often much tighter) on storage
 architectures: a schedule with no idle-qubit exposure trivially satisfies
-Eq. 14, so :func:`repro.core.strategies.bisection.structured_upper_bound`
+Eq. 14, so :func:`repro.core.strategies.search.structured_upper_bound`
 offers it as an upper-bound candidate everywhere.
 """
 

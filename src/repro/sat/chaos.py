@@ -10,7 +10,12 @@ reproducible :class:`FaultPlan` —
   handling (an UNKNOWN must never be treated as a refuted horizon);
 * **delays**, exercising deadline slicing;
 * **crash-after-N-solves** (:class:`~repro.sat.errors.PermanentBackendError`),
-  exercising the ``termination="backend-error"`` degradation.
+  exercising the ``termination="backend-error"`` degradation.  The count
+  is per backend *instance*: the cold-start search path
+  (``incremental=False``) builds a fresh solver, and so a fresh chaos
+  backend, for every probe, so ``crash-after=N`` with ``N >= 1`` never
+  fires there — a test that wants a cold search to crash mid-way must count
+  solves over the whole search itself.
 
 Because faults fire *before* the inner backend is touched, the inner clause
 database stays intact across injected transients — exactly the contract a
@@ -62,6 +67,8 @@ class FaultPlan:
     #: Sleep injected before every solve (exercises deadline slicing).
     delay_seconds: float = 0.0
     #: After this many solves every further solve fails permanently.
+    #: Counted per backend instance, so it never fires on the cold-start
+    #: path, which builds one backend per probe (see the module docstring).
     crash_after_solves: Optional[int] = None
 
     @classmethod

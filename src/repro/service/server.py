@@ -188,7 +188,8 @@ def check_solver_fields(doc: dict, default_strategy: str) -> None:
 
     ``strategy`` (``null`` selects *default_strategy*) must name a
     registered search strategy and ``sat_backend`` a registered SAT backend
-    (``chaos:BACKEND`` included); ``time_limit`` and ``deadline`` must be
+    (``chaos:BACKEND`` included, which inherits BACKEND's availability)
+    that is available on this host; ``time_limit`` and ``deadline`` must be
     ``null`` or finite non-negative numbers.  Raises ``ValueError``, which
     the server answers with ``400`` before the request takes a queue slot.
     """
@@ -205,7 +206,9 @@ def check_solver_fields(doc: dict, default_strategy: str) -> None:
     if backend is not None:
         if not isinstance(backend, str):
             raise ValueError(f"sat_backend must be a string, got {backend!r}")
-        backend_info(backend)
+        info = backend_info(backend)
+        if not info.is_available():
+            raise ValueError(f"SAT backend {info.name!r} is unavailable here")
     for name in ("time_limit", "deadline"):
         value = doc.get(name)
         if value is None:
@@ -249,7 +252,7 @@ def _execute_service_solve(spec: dict) -> dict:
     try:
         problem = problem_from_document(spec["problem"])
         scheduler = SMTScheduler(
-            strategy=spec.get("strategy") or "bisection",
+            strategy=spec["strategy"],
             sat_backend=spec.get("sat_backend"),
             time_limit_per_instance=spec.get("time_limit"),
         )
@@ -263,7 +266,7 @@ def _execute_service_solve(spec: dict) -> dict:
             else:
                 os.environ[CHAOS_SPEC_ENV] = saved_chaos
     payload = {
-        "strategy": spec.get("strategy") or "bisection",
+        "strategy": spec["strategy"],
         "sat_backend": report.sat_backend,
         "found": report.found,
         "optimal": report.optimal,
@@ -410,10 +413,13 @@ class SchedulingService:
         """Queue a solve; returns None when the bounded queue is full.
 
         The job reaches an idle worker on the next turn of the loop, so
-        the caller can stream its ``accepted`` event first.
+        the caller can stream its ``accepted`` event first.  A spec without
+        a ``strategy`` runs the service's :attr:`default_strategy`.
         """
         if len(self._waiting) >= self.queue_limit:
             return None
+        if not spec.get("strategy"):
+            spec["strategy"] = self.default_strategy
         job = _ServiceJob(
             request_id=request_id, spec=spec, timeout=self.hard_timeout
         )
@@ -682,7 +688,7 @@ class ServiceServer:
                 "layout": doc.get("layout", "bottom"),
                 "shielding": doc.get("shielding"),
             },
-            "strategy": doc.get("strategy") or service.default_strategy,
+            "strategy": doc.get("strategy"),
             "sat_backend": doc.get("sat_backend"),
             "time_limit": doc.get("time_limit", service.default_time_limit),
             "chaos_spec": doc.get("chaos_spec"),
@@ -846,7 +852,7 @@ def _witness_event(problem, request_id: str) -> dict:
     Runs in a thread-pool executor (pure Python, but milliseconds of
     work the event loop should not absorb under concurrency).
     """
-    from repro.core.strategies.bisection import (
+    from repro.core.strategies.search import (
         structured_upper_bound,
         witness_source,
     )

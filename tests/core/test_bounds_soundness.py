@@ -27,7 +27,7 @@ import pytest
 from repro.arch import reduced_layout
 from repro.core.problem import SchedulingProblem
 from repro.core.scheduler import SMTScheduler
-from repro.core.strategies.bisection import structured_upper_bound
+from repro.core.strategies.search import structured_upper_bound
 from repro.core.validator import validate_schedule
 
 LAYOUT_KINDS = ("none", "bottom", "double")

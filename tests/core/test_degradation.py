@@ -35,6 +35,7 @@ from repro.core.report import (
 from repro.core.scheduler import SMTScheduler
 from repro.core.validator import validate_schedule
 from repro.sat.chaos import ChaosBackend
+from repro.sat.solver import SolveResult
 
 #: Every scheduler configuration under test: the registered strategies
 #: plus ``coldstart``, the linear strategy with ``incremental=False`` (a
@@ -255,6 +256,48 @@ def test_unknown_probes_never_lift_the_lower_bound(strategy, monkeypatch):
     assert not report.optimal
     assert report.lower_bound == problem.lower_bound()
     assert "unsat-probes" not in (report.lower_bound_source or "")
+    assert_sound(report, problem)
+
+
+#: The horizons each single search probes on the triangle when its first
+#: probe comes back UNKNOWN: linear steps from the analytic bound 4 to the
+#: optimum 5; bisection halves [4, 7] (the witness's 7) at 5, then at 6.
+UNKNOWN_FIRST_PROBES = {
+    "linear": [4, 5],
+    "coldstart": [4, 5],
+    "bisection": [5, 6],
+}
+
+
+@pytest.mark.parametrize("strategy", SINGLE_SEARCHES)
+def test_sat_model_after_an_unknown_probe_bounds_from_above(strategy, monkeypatch):
+    """A SAT model reached after an undecided horizon is not certified
+    minimal, but it is a schedule: the report ends ``deadline`` with that
+    model as its schedule and its stage count as a ``sat-probe`` upper
+    bound, while the UNKNOWN probe lifts nothing."""
+    monkeypatch.setenv("REPRO_CHAOS_SPEC", "seed=0")
+    # Count solves over the whole search (the cold path builds a backend
+    # per probe): the first one is undecided, the rest run for real.
+    solves = itertools.count()
+    solve = ChaosBackend.solve
+
+    def first_solve_unknown(self, *args, **kwargs):
+        if next(solves) == 0:
+            return SolveResult.UNKNOWN
+        return solve(self, *args, **kwargs)
+
+    monkeypatch.setattr(ChaosBackend, "solve", first_solve_unknown)
+    problem = triangle_problem()
+    report = make_scheduler(strategy, sat_backend="chaos:flat").schedule(problem)
+    assert report.stages_tried == UNKNOWN_FIRST_PROBES[strategy]
+    assert report.termination == TERMINATION_DEADLINE
+    assert not report.optimal
+    assert report.schedule.metadata["backend"] == "smt"
+    assert report.schedule.metadata["optimal"] is False
+    assert report.schedule.num_stages == report.stages_tried[-1]
+    assert report.upper_bound == report.schedule.num_stages
+    assert report.upper_bound_source == "sat-probe"
+    assert report.lower_bound == problem.lower_bound()
     assert_sound(report, problem)
 
 
