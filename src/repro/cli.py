@@ -57,9 +57,10 @@ from repro.evaluation import (
 )
 from repro.evaluation.exploration import format_exploration
 from repro.evaluation.runner import (
-    REDUCED_LAYOUT_KWARGS,
+    DOCUMENT_VERSION,
     SMT_INSTANCES,
     SMT_STRATEGIES,
+    smt_document,
 )
 from repro.metrics import approximate_success_probability
 from repro.qec import available_codes, get_code
@@ -254,7 +255,9 @@ def build_parser() -> argparse.ArgumentParser:
         "that the shards are disjoint and exhaustive",
     )
     bench_merge.add_argument(
-        "shards", nargs="+", help="the per-shard bench JSON files (schema v6+)"
+        "shards",
+        nargs="+",
+        help=f"the per-shard bench JSON files (schema v{DOCUMENT_VERSION})",
     )
     bench_merge.add_argument(
         "--output", required=True, help="write the merged document to this path"
@@ -265,8 +268,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="compare two bench JSON documents cell-by-cell and fail on "
         "wall-clock/probe-count regressions",
     )
-    bench_trend.add_argument("old", help="baseline bench JSON (schema v5+)")
-    bench_trend.add_argument("new", help="candidate bench JSON (schema v5+)")
+    bench_trend.add_argument("old", help=f"baseline bench JSON (schema v{DOCUMENT_VERSION})")
+    bench_trend.add_argument("new", help=f"candidate bench JSON (schema v{DOCUMENT_VERSION})")
     bench_trend.add_argument(
         "--wall-clock-threshold",
         type=float,
@@ -479,6 +482,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                     file=sys.stderr,
                 )
             schedule = StructuredScheduler().schedule(problem)
+            validate_schedule(schedule, require_shielding=problem.shielding)
         else:
             try:
                 scheduler = SMTScheduler(
@@ -503,7 +507,6 @@ def main(argv: Sequence[str] | None = None) -> int:
                 )
                 return 1
             schedule = report.schedule
-        validate_schedule(schedule, require_shielding=problem.shielding)
         breakdown = approximate_success_probability(schedule, prep)
         if args.json:
             print(json.dumps(schedule.to_dict(), indent=2))
@@ -531,7 +534,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 0
 
     if args.command == "bounds":
-        from repro.arch import reduced_layout
+        from repro.core.problem import problem_from_document
         from repro.core.strategies.search import (
             structured_upper_bound,
             witness_source,
@@ -539,14 +542,8 @@ def main(argv: Sequence[str] | None = None) -> int:
 
         shielding = None if args.shielding == "auto" else args.shielding == "on"
         if args.instance in SMT_INSTANCES:
-            num_qubits, gates = SMT_INSTANCES[args.instance]
-            architecture = reduced_layout(args.layout, **REDUCED_LAYOUT_KWARGS)
-            problem = SchedulingProblem.from_gates(
-                architecture,
-                num_qubits,
-                gates,
-                shielding=shielding,
-                metadata={"instance": args.instance},
+            problem = problem_from_document(
+                {**smt_document(args.instance, args.layout), "shielding": shielding}
             )
         else:
             code = get_code(args.instance)

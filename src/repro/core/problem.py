@@ -481,6 +481,87 @@ class SchedulingProblem:
 
 
 # --------------------------------------------------------------------------- #
+# Request documents
+# --------------------------------------------------------------------------- #
+#: Extent keys of an explicit ``layout`` object: the dimensions
+#: :func:`~repro.arch.reduced_layout` takes.
+_LAYOUT_EXTENTS = ("x_max", "h_max", "v_max", "c_max", "r_max")
+
+
+def _require_int(value: object, name: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def problem_from_document(doc: dict) -> SchedulingProblem:
+    """Build a :class:`SchedulingProblem` from a JSON request document.
+
+    Document shape::
+
+        {
+          "num_qubits": 4,
+          "gates": [[0, 1], [1, 2]],
+          "layout": "bottom",                 # reduced-layout kind, or
+          "layout": {"kind": "bottom", "x_max": 2, ...},   # explicit dims, or
+          "layout": "full:(2) Bottom Storage",  # a Table I evaluation layout
+          "shielding": true                   # optional (layout default)
+        }
+
+    ``layout`` defaults to the reduced bottom-storage architecture — the
+    same zone structure as the paper's evaluation at a size the pure-Python
+    exact solver certifies in interactive time.  An explicit layout object
+    takes only ``kind`` and integer extents (``x_max``, ``h_max``,
+    ``v_max``, ``c_max``, ``r_max``); ``num_qubits`` and the gate qubits
+    must be integers and ``shielding`` a boolean or null.  Anything else
+    raises ``ValueError``.
+    """
+    from repro.arch import evaluation_layouts, reduced_layout
+
+    layout = doc.get("layout", "bottom")
+    if isinstance(layout, str):
+        if layout.startswith("full:"):
+            layouts = evaluation_layouts()
+            name = layout[len("full:"):]
+            if name not in layouts:
+                raise ValueError(
+                    f"unknown evaluation layout {name!r} "
+                    f"(choose from {sorted(layouts)})"
+                )
+            architecture = layouts[name]
+        else:
+            architecture = reduced_layout(layout)
+    elif isinstance(layout, dict):
+        kind = layout.get("kind", "bottom")
+        if not isinstance(kind, str):
+            raise ValueError(f"layout kind must be a string, got {kind!r}")
+        extents = {key: value for key, value in layout.items() if key != "kind"}
+        unknown = sorted(set(extents) - set(_LAYOUT_EXTENTS))
+        if unknown:
+            raise ValueError(
+                f"unknown layout keys {unknown} "
+                f"(choose from {['kind', *_LAYOUT_EXTENTS]})"
+            )
+        for key, value in extents.items():
+            _require_int(value, f"layout {key}")
+        architecture = reduced_layout(kind, **extents)
+    else:
+        raise ValueError(f"layout must be a string or object, got {type(layout)}")
+    shielding = doc.get("shielding")
+    if shielding is not None and not isinstance(shielding, bool):
+        raise ValueError(f"shielding must be true, false or null, got {shielding!r}")
+    gates = [
+        tuple(_require_int(qubit, "gate qubit") for qubit in gate) for gate in doc["gates"]
+    ]
+    return SchedulingProblem.from_gates(
+        architecture,
+        _require_int(doc["num_qubits"], "num_qubits"),
+        gates,
+        shielding=shielding,
+    )
+
+
+# --------------------------------------------------------------------------- #
 # Clique enumeration (module-level: pure graph algorithms, no problem state)
 # --------------------------------------------------------------------------- #
 def _bron_kerbosch(

@@ -103,6 +103,27 @@ SMT_STRATEGIES = ("linear", "coldstart", "bisection", "portfolio")
 REDUCED_LAYOUT_KWARGS = {"x_max": 2, "h_max": 1, "v_max": 1, "c_max": 2, "r_max": 2}
 
 
+def smt_document(instance: str, layout: str) -> dict:
+    """The request document of an :data:`SMT_INSTANCES` entry.
+
+    The problem sits on the reduced *layout* kind at
+    :data:`REDUCED_LAYOUT_KWARGS`; ``"none-shielded"`` is layout ``none``
+    with ``shielding: true``.  Bench specs, the service load test and the
+    CLI all describe a smoke instance through this one document
+    (:func:`~repro.core.problem.problem_from_document` reads it).
+    """
+    num_qubits, gates = SMT_INSTANCES[instance]
+    shielded = layout == "none-shielded"
+    document = {
+        "num_qubits": num_qubits,
+        "gates": [list(gate) for gate in gates],
+        "layout": {"kind": "none" if shielded else layout, **REDUCED_LAYOUT_KWARGS},
+    }
+    if shielded:
+        document["shielding"] = True
+    return document
+
+
 @dataclass
 class BenchInstance:
     """One unit of benchmark work: a name plus a picklable spec dict."""
@@ -164,16 +185,12 @@ def smt_suite(
             if strategy not in SMT_STRATEGIES:
                 raise ValueError(f"unknown SMT scheduler strategy {strategy!r}")
             for kind in layout_kinds:
-                # Pseudo-kinds force a shielding override on a base layout;
-                # "none-shielded" pairs only with the instances that stay
-                # feasible when no idle qubit may enter the entangling zone.
-                layout_kind, shielding = (
-                    ("none", True) if kind == "none-shielded" else (kind, None)
-                )
                 for name in names:
-                    if shielding and name not in AIRBORNE_SMOKE_INSTANCES:
+                    # The shielded storage-less pseudo-layout pairs only with
+                    # the instances that stay feasible when no idle qubit may
+                    # enter the entangling zone.
+                    if kind == "none-shielded" and name not in AIRBORNE_SMOKE_INSTANCES:
                         continue
-                    num_qubits, gates = SMT_INSTANCES[name]
                     prefix = "smt" if backend is None else f"smt/{backend}"
                     suite.append(
                         BenchInstance(
@@ -183,13 +200,9 @@ def smt_suite(
                                 "kind": "smt",
                                 "strategy": strategy,
                                 "sat_backend": backend,
-                                "layout_kind": layout_kind,
-                                "layout_label": kind,
-                                "layout_kwargs": dict(REDUCED_LAYOUT_KWARGS),
-                                "shielding": shielding,
+                                "layout": kind,
                                 "instance": name,
-                                "num_qubits": num_qubits,
-                                "gates": [list(g) for g in gates],
+                                "problem": smt_document(name, kind),
                                 "time_limit": time_limit,
                             },
                         )
@@ -300,7 +313,7 @@ def shard_suite(
 def shard_info(
     cell_names: Sequence[str], index: int = 0, count: int = 1
 ) -> dict:
-    """Schema-v6 ``shard`` document field describing one run's slice.
+    """The ``shard`` document field describing one run's slice.
 
     *cell_names* is the **full pre-shard** cell list: the digest and total
     identify the suite every shard belongs to, which is what lets
@@ -316,9 +329,6 @@ def shard_info(
     }
 
 
-# --------------------------------------------------------------------------- #
-# Workers (module-level so they pickle for ProcessPoolExecutor)
-# --------------------------------------------------------------------------- #
 def dedupe_instances(
     instances: Sequence[BenchInstance],
 ) -> tuple[list[BenchInstance], dict[str, str]]:
@@ -327,15 +337,14 @@ def dedupe_instances(
     Two cells are duplicates when their scheduling problems share a
     canonical key (:func:`repro.core.canonical.canonical_key` — invariant
     under qubit relabeling and gate reordering) *and* their solver
-    configuration (strategy, backend, time limit, phase seed) is
+    configuration (strategy, backend, time limit) is
     identical: solving both can only reproduce the same certified answer.
     Returns ``(kept, dropped)`` where *dropped* maps each dropped cell
     name to the kept cell it duplicates.  Non-SMT cells are never dropped
     (their specs name circuits, not gate lists, and are already unique).
     """
-    from repro.arch import reduced_layout
     from repro.core.canonical import canonical_key
-    from repro.core.problem import SchedulingProblem
+    from repro.core.problem import problem_from_document
 
     kept: list[BenchInstance] = []
     dropped: dict[str, str] = {}
@@ -345,15 +354,8 @@ def dedupe_instances(
         if spec.get("kind") != "smt":
             kept.append(instance)
             continue
-        architecture = reduced_layout(spec["layout_kind"], **spec["layout_kwargs"])
-        problem = SchedulingProblem.from_gates(
-            architecture,
-            spec["num_qubits"],
-            [tuple(gate) for gate in spec["gates"]],
-            shielding=spec.get("shielding"),
-        )
         key = (
-            canonical_key(problem),
+            canonical_key(problem_from_document(spec["problem"])),
             spec["strategy"],
             spec.get("sat_backend"),
             spec.get("time_limit"),
@@ -366,11 +368,14 @@ def dedupe_instances(
     return kept, dropped
 
 
+# --------------------------------------------------------------------------- #
+# Workers (module-level so they pickle for the worker pool)
+# --------------------------------------------------------------------------- #
 def execute_spec(spec: dict) -> dict:
     """Run one instance spec and return its JSON-serialisable payload."""
     kind = spec["kind"]
     if kind == "smt":
-        return _execute_smt(spec)
+        return solve_job(spec)
     if kind == "table1":
         return _execute_table1(spec)
     if kind == "exploration":
@@ -422,35 +427,52 @@ def _execute_selftest(spec: dict) -> dict:
     raise ValueError(f"unknown selftest op {op!r}")
 
 
-def _execute_smt(spec: dict) -> dict:
-    from repro.arch import reduced_layout
-    from repro.core.problem import SchedulingProblem
-    from repro.core.scheduler import SMTScheduler
-    from repro.core.validator import validate_schedule
+def solve_job(spec: dict) -> dict:
+    """Solve one request document exactly: the one SMT job.
 
-    architecture = reduced_layout(spec["layout_kind"], **spec["layout_kwargs"])
+    Bench ``smt`` cells (through :func:`execute_spec`) and service misses
+    (:mod:`repro.service.server`) both run it, so they answer with the same
+    payload.  *spec* carries the request document under ``"problem"``
+    (:func:`~repro.core.problem.problem_from_document`), the ``strategy``
+    (``coldstart`` is ``linear`` with ``incremental=False``), and optional
+    ``sat_backend``, per-probe ``time_limit``, whole-search ``deadline``
+    (seconds, started here, or an already-ticking
+    :class:`~repro.core.budget.Deadline`) and ``chaos_spec`` (a per-job
+    fault plan for ``chaos:`` backends).  A bench cell's ``layout`` and
+    ``instance`` labels are echoed into the payload.  The schedule is
+    validated once, inside :meth:`~repro.core.scheduler.SMTScheduler.schedule`.
+    """
+    from repro.core.problem import problem_from_document
+    from repro.core.scheduler import SMTScheduler
+    from repro.sat.chaos import CHAOS_SPEC_ENV
+
     strategy = spec["strategy"]
-    scheduler = SMTScheduler(
-        time_limit_per_instance=spec.get("time_limit"),
-        strategy="linear" if strategy == "coldstart" else strategy,
-        incremental=strategy != "coldstart",
-        sat_backend=spec.get("sat_backend"),
-        deadline=spec.get("deadline"),
-    )
-    gates = [tuple(g) for g in spec["gates"]]
-    problem = SchedulingProblem.from_gates(
-        architecture,
-        spec["num_qubits"],
-        gates,
-        shielding=spec.get("shielding"),
-    )
-    report = scheduler.schedule(problem)
+    problem = problem_from_document(spec["problem"])
+    chaos_spec = spec.get("chaos_spec")
+    saved_chaos = os.environ.get(CHAOS_SPEC_ENV)
+    if chaos_spec is not None:
+        os.environ[CHAOS_SPEC_ENV] = str(chaos_spec)
+    try:
+        scheduler = SMTScheduler(
+            time_limit_per_instance=spec.get("time_limit"),
+            strategy="linear" if strategy == "coldstart" else strategy,
+            incremental=strategy != "coldstart",
+            sat_backend=spec.get("sat_backend"),
+        )
+        report = scheduler.schedule(problem, deadline=spec.get("deadline"))
+    finally:
+        if chaos_spec is not None:
+            # Workers are persistent: a per-job chaos plan must not leak
+            # into the next job's solve.
+            if saved_chaos is None:
+                os.environ.pop(CHAOS_SPEC_ENV, None)
+            else:
+                os.environ[CHAOS_SPEC_ENV] = saved_chaos
     payload = {
         "strategy": strategy,
         # The resolved backend registry name.
         "sat_backend": report.sat_backend,
-        "layout": spec.get("layout_label", spec["layout_kind"]),
-        "instance": spec["instance"],
+        **{label: spec[label] for label in ("layout", "instance") if label in spec},
         "found": report.found,
         "optimal": report.optimal,
         "lower_bound": report.lower_bound,
@@ -476,7 +498,6 @@ def _execute_smt(spec: dict) -> dict:
         # Portfolio runs only.
         payload["winner"] = report.winner
     if report.found:
-        validate_schedule(report.schedule, require_shielding=problem.shielding)
         payload.update(
             num_stages=report.schedule.num_stages,
             num_rydberg_stages=report.schedule.num_rydberg_stages,
@@ -676,13 +697,12 @@ def _run_serial(
     return results
 
 
-def _warm_worker() -> None:
-    """Warm-up hook run once per pool worker before its first cell.
+def warm_worker() -> None:
+    """Warm-up hook run once per pool worker before its first job.
 
     Imports the scheduling stack (scheduler, structured baseline, SMT and
-    SAT layers) so cells pay solver time only — the pool amortises this
-    across every cell the worker executes instead of re-paying it per
-    cell as the old one-process-per-cell path did.
+    SAT layers) so bench cells and service misses pay solver time only —
+    the pool amortises this across every job the worker executes.
     """
     import repro.core.scheduler  # noqa: F401
     import repro.core.structured  # noqa: F401
@@ -716,7 +736,7 @@ def _run_parallel(
     results: dict[int, BenchResult] = {}
     inflight: dict[int, tuple[int, BenchInstance, int]] = {}
     with WorkerPool(
-        max(1, min(jobs, len(pending) or 1)), warmup=_warm_worker, name="bench"
+        max(1, min(jobs, len(pending) or 1)), warmup=warm_worker, name="bench"
     ) as pool:
         while queue or inflight:
             while queue and pool.idle_count() > 0:
@@ -768,9 +788,9 @@ def _with_timeout(spec: dict, timeout: Optional[float]) -> dict:
     """Forward the harness timeout into the spec's cooperative budget.
 
     Every executable spec kind understands ``spec["deadline"]`` (a budget in
-    seconds, started by :func:`_spec_deadline` when the cell executes): SMT
-    cells hand it to :class:`~repro.core.scheduler.SMTScheduler`, which
-    degrades gracefully on expiry (``termination: "deadline"``);
+    seconds, started when the cell executes): SMT cells hand it to
+    :meth:`~repro.core.scheduler.SMTScheduler.schedule`, which degrades
+    gracefully on expiry (``termination: "deadline"``);
     table1/exploration cells check it between sub-instances and raise
     :class:`DeadlineExceeded`, recorded as ``status: "timeout"``.  SMT specs
     additionally clamp their per-probe solver ``time_limit``, preserving
@@ -790,8 +810,22 @@ def _with_timeout(spec: dict, timeout: Optional[float]) -> dict:
 # --------------------------------------------------------------------------- #
 # Persistence and formatting
 # --------------------------------------------------------------------------- #
-#: Version of the one document :func:`save_results` writes.
+#: Version of the one document :func:`save_results` writes, and the only
+#: one the readers (:func:`merge_documents`, ``bench-trend``) accept.
 DOCUMENT_VERSION = 8
+
+
+def check_document_version(document: dict, reader: str, label: str = "a") -> None:
+    """Raise ``ValueError`` unless *document* is schema :data:`DOCUMENT_VERSION`.
+
+    *reader* names the consumer and *label* the document in the message.
+    """
+    version = document.get("version", 0)
+    if version != DOCUMENT_VERSION:
+        raise ValueError(
+            f"{label} document is schema v{version}; {reader} requires "
+            f"schema v{DOCUMENT_VERSION}"
+        )
 
 
 def save_results(
@@ -844,8 +878,8 @@ def load_results(path: str | os.PathLike) -> list[BenchResult]:
 def merge_documents(documents: Sequence[dict]) -> dict:
     """Union the shard documents of one suite into a single document.
 
-    Validates the merge end-to-end: every document must be a schema-v6+
-    shard of the **same** suite (identical shard ``count``,
+    Validates the merge end-to-end: every document must be a
+    :data:`DOCUMENT_VERSION` shard of the **same** suite (identical shard ``count``,
     ``suite_digest`` and ``suite_cells``), the shard indices must cover
     ``0..count-1`` exactly once, every cell must live on the shard its
     name hashes to, no cell may appear twice, and the union must
@@ -855,12 +889,9 @@ def merge_documents(documents: Sequence[dict]) -> dict:
     if not documents:
         raise ValueError("no documents to merge")
     for document in documents:
-        version = document.get("version", 0)
-        if version < 6 or document.get("shard") is None:
-            raise ValueError(
-                "bench-merge requires schema v6+ shard documents "
-                f"(got version {version})"
-            )
+        check_document_version(document, "bench-merge")
+        if document.get("shard") is None:
+            raise ValueError("bench-merge requires shard documents")
     shards = [document["shard"] for document in documents]
     for key in ("count", "suite_digest", "suite_cells"):
         values = {shard[key] for shard in shards}
@@ -903,8 +934,7 @@ def merge_documents(documents: Sequence[dict]) -> dict:
         )
     merged_results = [entries[name] for name in sorted(entries)]
     return {
-        # The union is only as complete as its oldest shard.
-        "version": min(document["version"] for document in documents),
+        "version": DOCUMENT_VERSION,
         "created_unix": max(doc.get("created_unix", 0.0) for doc in documents),
         "num_instances": len(merged_results),
         "num_ok": sum(1 for entry in merged_results if entry["status"] == "ok"),
@@ -925,43 +955,6 @@ def save_document(document: dict, path: str | os.PathLike) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(document, handle, indent=2, sort_keys=True)
         handle.write("\n")
-
-
-def strategy_horizons(
-    results: Sequence[BenchResult], strategy: str
-) -> dict[tuple[str, str], int]:
-    """Horizons attempted per (layout, instance) by *strategy*'s SMT runs."""
-    horizons: dict[tuple[str, str], int] = {}
-    for result in results:
-        payload = result.payload
-        if result.suite != "smt" or payload.get("strategy") != strategy:
-            continue
-        key = (payload.get("layout"), payload.get("instance"))
-        horizons[key] = payload.get("num_horizons", len(payload.get("stages_tried", [])))
-    return horizons
-
-
-def check_bisection_regression(
-    linear_results: Sequence[BenchResult],
-    bisection_results: Sequence[BenchResult],
-    layout: str = "bottom",
-    instance: str = "triangle",
-) -> tuple[int, int]:
-    """Horizon counts of linear vs bisection on the multi-horizon smoke instance.
-
-    Returns ``(linear_horizons, bisection_horizons)`` for the given (layout,
-    instance) cell; raises ``ValueError`` when either batch lacks it.  The CI
-    bench-regression job fails when the bisection count is not strictly
-    smaller.
-    """
-    key = (layout, instance)
-    linear = strategy_horizons(linear_results, "linear").get(key)
-    bisection = strategy_horizons(bisection_results, "bisection").get(key)
-    if linear is None or bisection is None:
-        raise ValueError(
-            f"batches do not both cover the smoke instance {layout}/{instance}"
-        )
-    return linear, bisection
 
 
 def check_bounds_soundness(

@@ -2,9 +2,10 @@
 
 Five PRs of perf work went untracked because the CI regression jobs only
 pinned hand-picked cell counts for two instances.  This module is the
-general gate: it compares two ``BENCH_*.json`` documents (schema v5+)
-cell by cell and reports the deltas that matter for the solver's
-trajectory —
+general gate: it compares two ``BENCH_*.json`` documents of the current
+schema (:data:`~repro.evaluation.runner.DOCUMENT_VERSION`, the only one
+the runner writes) cell by cell and reports the deltas that matter for
+the solver's trajectory —
 
 * **wall-clock** per cell (``seconds``),
 * **probe count** per certified SMT cell (``num_horizons``: how many
@@ -12,8 +13,7 @@ trajectory —
   deterministic for the non-racing strategies, so any increase is a real
   search regression, not noise),
 * **propagation throughput** of the deciding SAT backend
-  (``sat_propagations_per_second``, schema v6 payloads only; reported,
-  not gated — it is a per-probe sample).
+  (``sat_propagations_per_second``; reported, not gated — it is a per-probe sample).
 
 The default gate trips (:attr:`TrendReport.ok` is ``False``) when
 
@@ -21,8 +21,8 @@ The default gate trips (:attr:`TrendReport.ok` is ``False``) when
 * a cell's wall-clock grows by more than ``wall_clock_threshold``
   (default **+25 %**) and the cell is slow enough to measure
   (``min_seconds`` floor filters timing noise on near-instant cells),
-* a cell that was ``ok`` stops being ``ok`` (timeout/error/failed — or a
-  schema-v7 SMT cell that degrades to ``termination: "deadline"``, the
+* a cell that was ``ok`` stops being ``ok`` (timeout/error/failed — or an
+  SMT cell that degrades to ``termination: "deadline"``, the
   cooperative form of a timeout), or
 * a cell disappears entirely (coverage loss), unless *allow_missing*.
 
@@ -39,8 +39,7 @@ import os
 from dataclasses import asdict, dataclass, field
 from typing import Optional
 
-#: Versions old enough to lack the fields the comparison needs.
-_MIN_SCHEMA_VERSION = 5
+from repro.evaluation.runner import check_document_version
 
 #: Default relative wall-clock growth beyond which a cell regresses.
 DEFAULT_WALL_CLOCK_THRESHOLD = 0.25
@@ -111,7 +110,7 @@ def _certified(payload: dict) -> bool:
 def _effective_status(entry: dict) -> str:
     """The gate-relevant status of a cell.
 
-    Schema v7 SMT cells that hit the harness budget end *cooperatively*:
+    SMT cells that hit the harness budget end *cooperatively*:
     the worker returns a degraded payload with ``termination: "deadline"``
     and the harness records ``status: "ok"`` (the payload is valid — best
     known witness plus a sound interval).  For the ok→non-ok gate those
@@ -141,17 +140,12 @@ def compare_documents(
 ) -> TrendReport:
     """Compare two bench documents cell by cell and evaluate the gate.
 
-    Raises ``ValueError`` when either document predates schema v5 (its
-    payloads lack the fields the comparison is defined over) or when the
+    Raises ``ValueError`` when either document is not of the current schema
+    (:func:`~repro.evaluation.runner.check_document_version`) or when the
     runs share no cells at all.
     """
     for label, document in (("old", old_document), ("new", new_document)):
-        version = document.get("version", 0)
-        if version < _MIN_SCHEMA_VERSION:
-            raise ValueError(
-                f"the {label} document is schema v{version}; bench-trend "
-                f"requires v{_MIN_SCHEMA_VERSION}+ payloads"
-            )
+        check_document_version(document, "bench-trend", label=f"the {label}")
     old_entries = _index_results(old_document)
     new_entries = _index_results(new_document)
     shared = [name for name in old_entries if name in new_entries]

@@ -43,15 +43,11 @@ DEFAULT_CELLS: tuple[dict, ...] = (
 
 def scheduling_cnf(layout: str, instance: str, num_stages: int) -> CNF:
     """Bit-blast a reduced scheduling instance at a fixed stage count."""
-    from repro.arch import reduced_layout
     from repro.core.encoding import encode_problem
-    from repro.core.problem import SchedulingProblem
-    from repro.evaluation.runner import REDUCED_LAYOUT_KWARGS, SMT_INSTANCES
+    from repro.core.problem import problem_from_document
+    from repro.evaluation.runner import smt_document
 
-    num_qubits, gates = SMT_INSTANCES[instance]
-    problem = SchedulingProblem.from_gates(
-        reduced_layout(layout, **REDUCED_LAYOUT_KWARGS), num_qubits, gates
-    )
+    problem = problem_from_document(smt_document(instance, layout))
     return encode_problem(problem, num_stages).solver.to_cnf()
 
 

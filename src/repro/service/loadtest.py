@@ -23,11 +23,7 @@ import random
 import time
 from typing import Optional, Sequence
 
-from repro.evaluation.runner import (
-    REDUCED_LAYOUT_KWARGS,
-    SMT_INSTANCES,
-    BenchResult,
-)
+from repro.evaluation.runner import SMT_INSTANCES, BenchResult, smt_document
 from repro.service.client import get_json, stream_schedule
 from repro.service.server import start_service
 
@@ -62,18 +58,12 @@ def _build_requests(
     rng = random.Random(seed)
     docs = []
     for i in range(requests):
-        name = instances[i % len(instances)]
-        num_qubits, gates = SMT_INSTANCES[name]
-        relabeling = list(range(num_qubits))
+        doc = smt_document(instances[i % len(instances)], layout_kind)
+        relabeling = list(range(doc["num_qubits"]))
         rng.shuffle(relabeling)
-        relabeled = [[relabeling[a], relabeling[b]] for a, b in gates]
+        relabeled = [[relabeling[a], relabeling[b]] for a, b in doc["gates"]]
         rng.shuffle(relabeled)
-        doc = {
-            "num_qubits": num_qubits,
-            "gates": relabeled,
-            "layout": {"kind": layout_kind, **REDUCED_LAYOUT_KWARGS},
-            "strategy": strategy,
-        }
+        doc.update(gates=relabeled, strategy=strategy)
         if deadline is not None:
             doc["deadline"] = deadline
         docs.append(doc)

@@ -8,8 +8,8 @@ Endpoints
 
 ``POST /v1/schedule``
     Submit a scheduling problem (JSON body, see
-    :func:`problem_from_document`).  The response is an **anytime stream**
-    of chunked JSON lines (``Transfer-Encoding: chunked``,
+    :func:`repro.core.problem.problem_from_document`).  The response is an
+    **anytime stream** of chunked JSON lines (``Transfer-Encoding: chunked``,
     ``application/x-ndjson``), one event object per line, in order:
 
     1. ``{"event": "accepted", ...}`` — request id, canonical key, cache
@@ -80,6 +80,7 @@ from typing import Callable, Optional
 
 from repro.core.budget import Deadline
 from repro.core.canonical import canonical_key
+from repro.core.problem import problem_from_document
 from repro.core.report import (
     TERMINATION_BACKEND_ERROR,
     TERMINATION_CERTIFIED,
@@ -92,6 +93,7 @@ from repro.evaluation.executor import (
     TaskOutcome,
     WorkerPool,
 )
+from repro.evaluation.runner import solve_job, warm_worker
 from repro.service.cache import CertifiedResultCache
 from repro.service.ledger import RequestLedger
 
@@ -135,54 +137,6 @@ _CACHEABLE_KEYS = (
 # --------------------------------------------------------------------------- #
 # Request documents
 # --------------------------------------------------------------------------- #
-def problem_from_document(doc: dict):
-    """Build a :class:`~repro.core.problem.SchedulingProblem` from a request.
-
-    Document shape::
-
-        {
-          "num_qubits": 4,
-          "gates": [[0, 1], [1, 2]],
-          "layout": "bottom",                 # reduced-layout kind, or
-          "layout": {"kind": "bottom", "x_max": 2, ...},   # explicit dims, or
-          "layout": "full:(2) Bottom Storage",  # a Table I evaluation layout
-          "shielding": true                   # optional (layout default)
-        }
-
-    ``layout`` defaults to the reduced bottom-storage architecture — the
-    same zone structure as the paper's evaluation at a size the pure-Python
-    exact solver certifies in interactive time.
-    """
-    from repro.arch import evaluation_layouts, reduced_layout
-    from repro.core.problem import SchedulingProblem
-
-    layout = doc.get("layout", "bottom")
-    if isinstance(layout, str):
-        if layout.startswith("full:"):
-            layouts = evaluation_layouts()
-            name = layout[len("full:"):]
-            if name not in layouts:
-                raise ValueError(
-                    f"unknown evaluation layout {name!r} "
-                    f"(choose from {sorted(layouts)})"
-                )
-            architecture = layouts[name]
-        else:
-            architecture = reduced_layout(layout)
-    elif isinstance(layout, dict):
-        kwargs = {k: v for k, v in layout.items() if k != "kind"}
-        architecture = reduced_layout(layout.get("kind", "bottom"), **kwargs)
-    else:
-        raise ValueError(f"layout must be a string or object, got {type(layout)}")
-    gates = [tuple(gate) for gate in doc["gates"]]
-    return SchedulingProblem.from_gates(
-        architecture,
-        int(doc["num_qubits"]),
-        gates,
-        shielding=doc.get("shielding"),
-    )
-
-
 def check_solver_fields(doc: dict, default_strategy: str) -> None:
     """Reject a request whose solver fields no worker could honour.
 
@@ -228,11 +182,13 @@ def check_solver_fields(doc: dict, default_strategy: str) -> None:
 def _execute_service_solve(spec: dict) -> dict:
     """Worker-side execution of one service request (module-level: pickles).
 
-    Returns the result-event payload (without the ``event``/``cached``
-    stamps the server adds).  ``spec["deadline"]`` is an already-ticking
+    Runs the request's selftest op, if any, then the SMT job every bench
+    cell runs (:func:`~repro.evaluation.runner.solve_job`).  Returns the
+    result-event payload (without the ``event``/``cached`` stamps the
+    server adds).  ``spec["deadline"]`` is an already-ticking
     :class:`~repro.core.budget.Deadline` started when the request was
-    accepted, so queueing time counts against the request's budget —
-    a service promises end-to-end latency, not solver latency.
+    accepted, so queueing time counts against the request's budget — a
+    service promises end-to-end latency, not solver latency.
     """
     selftest = spec.get("selftest") or {}
     op = selftest.get("op")
@@ -240,62 +196,7 @@ def _execute_service_solve(spec: dict) -> dict:
         os._exit(int(selftest.get("exit_code", 66)))
     if op == "sleep":
         time.sleep(float(selftest.get("seconds", 60.0)))
-
-    from repro.core.scheduler import SMTScheduler
-    from repro.core.validator import validate_schedule
-    from repro.sat.chaos import CHAOS_SPEC_ENV
-
-    chaos_spec = spec.get("chaos_spec")
-    saved_chaos = os.environ.get(CHAOS_SPEC_ENV)
-    if chaos_spec is not None:
-        os.environ[CHAOS_SPEC_ENV] = str(chaos_spec)
-    try:
-        problem = problem_from_document(spec["problem"])
-        scheduler = SMTScheduler(
-            strategy=spec["strategy"],
-            sat_backend=spec.get("sat_backend"),
-            time_limit_per_instance=spec.get("time_limit"),
-        )
-        report = scheduler.schedule(problem, deadline=spec.get("deadline"))
-    finally:
-        if chaos_spec is not None:
-            # Workers are persistent: a per-request chaos plan must not
-            # leak into the next request's solve.
-            if saved_chaos is None:
-                os.environ.pop(CHAOS_SPEC_ENV, None)
-            else:
-                os.environ[CHAOS_SPEC_ENV] = saved_chaos
-    payload = {
-        "strategy": spec["strategy"],
-        "sat_backend": report.sat_backend,
-        "found": report.found,
-        "optimal": report.optimal,
-        "lower_bound": report.lower_bound,
-        "upper_bound": report.upper_bound,
-        "lower_bound_source": report.lower_bound_source,
-        "upper_bound_source": report.upper_bound_source,
-        "num_horizons": report.num_horizons,
-        "solver_seconds": report.solver_seconds,
-        "termination": report.termination,
-        "backend_retries": int(report.statistics.get("backend_retries", 0)),
-    }
-    if report.found:
-        validate_schedule(report.schedule, require_shielding=problem.shielding)
-        payload.update(
-            num_stages=report.schedule.num_stages,
-            num_rydberg_stages=report.schedule.num_rydberg_stages,
-            num_transfer_stages=report.schedule.num_transfer_stages,
-            validated=True,
-        )
-    return payload
-
-
-def _warm_service_worker() -> None:
-    """Import the scheduling stack once per worker (fork-time warm-up)."""
-    import repro.core.scheduler  # noqa: F401
-    import repro.core.structured  # noqa: F401
-    import repro.sat.backend  # noqa: F401
-    import repro.smt.solver  # noqa: F401
+    return solve_job(spec)
 
 
 # --------------------------------------------------------------------------- #
@@ -366,7 +267,7 @@ class SchedulingService:
         # thread exists — forking from a single-threaded parent is the
         # only portable-safe moment to do it.
         self._pool = WorkerPool(
-            jobs, warmup=_warm_service_worker if warm else None, name="service"
+            jobs, warmup=warm_worker if warm else None, name="service"
         )
         self._waiting: deque[_ServiceJob] = deque()
         self._inflight: dict[int, _ServiceJob] = {}

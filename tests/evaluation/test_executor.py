@@ -199,10 +199,11 @@ def _smt_cell(name, gates, num_qubits=4, strategy="bisection", **extra):
         spec={
             "kind": "smt",
             "instance": name,
-            "num_qubits": num_qubits,
-            "gates": [list(gate) for gate in gates],
-            "layout_kind": "bottom",
-            "layout_kwargs": dict(REDUCED_LAYOUT_KWARGS),
+            "problem": {
+                "num_qubits": num_qubits,
+                "gates": [list(gate) for gate in gates],
+                "layout": {"kind": "bottom", **REDUCED_LAYOUT_KWARGS},
+            },
             "strategy": strategy,
             "time_limit": 60.0,
             **extra,

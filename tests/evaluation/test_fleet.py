@@ -430,9 +430,11 @@ def test_merge_rejects_missing_duplicated_and_corrupt_shards(tmp_path):
     short["results"] = short["results"][1:]
     with pytest.raises(ValueError, match="missing"):
         merge_documents([first, short])
-    # Pre-v6 documents cannot prove disjointness/exhaustiveness.
-    with pytest.raises(ValueError, match="schema v6"):
+    # Only current-schema shard documents merge.
+    with pytest.raises(ValueError, match="schema v5; bench-merge requires schema v8"):
         merge_documents([{**first, "version": 5}])
+    with pytest.raises(ValueError, match="schema v7"):
+        merge_documents([{**first, "version": 7}, second])
 
 
 def test_merge_rejects_shards_of_different_suites(tmp_path):

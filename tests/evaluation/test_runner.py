@@ -12,7 +12,6 @@ from repro.evaluation.runner import (
     SMT_STRATEGIES,
     build_suite,
     check_backend_agreement,
-    check_bisection_regression,
     check_bounds_soundness,
     check_portfolio_regression,
     execute_spec,
@@ -21,7 +20,6 @@ from repro.evaluation.runner import (
     run_batch,
     save_results,
     smt_suite,
-    strategy_horizons,
     table1_suite,
 )
 
@@ -54,9 +52,9 @@ def test_smt_suite_shielded_axis_only_pairs_feasible_instances():
         "smt/bisection/none-shielded/ring-4",
     ]
     for inst in suite:
-        assert inst.spec["layout_kind"] == "none"
-        assert inst.spec["layout_label"] == "none-shielded"
-        assert inst.spec["shielding"] is True
+        assert inst.spec["layout"] == "none-shielded"
+        assert inst.spec["problem"]["layout"]["kind"] == "none"
+        assert inst.spec["problem"]["shielding"] is True
 
 
 def test_execute_smt_spec_shielded_storage_less_certifies_without_probes():
@@ -253,42 +251,6 @@ def test_format_batch_mentions_instances():
     text = format_batch(results)
     assert "single-gate" in text
     assert "2/2 instances ok" in text
-
-
-# --------------------------------------------------------------------------- #
-# Bench regression helpers (used by the CI bench-regression job)
-# --------------------------------------------------------------------------- #
-def test_check_bisection_regression_on_the_smoke_instances():
-    """The CI gate's two cells: on the triangle both strategies ride the
-    tightened certificates (bisection must not fall behind); on the ring
-    the airborne witness closes the interval and bisection certifies with
-    zero probes, strictly beating linear."""
-    instances = ["triangle", "ring-4"]
-    linear = run_batch(
-        smt_suite(
-            strategies=("linear",), instances=instances, layout_kinds=("bottom",)
-        ),
-        jobs=1,
-    )
-    bisection = run_batch(
-        smt_suite(
-            strategies=("bisection",), instances=instances, layout_kinds=("bottom",)
-        ),
-        jobs=1,
-    )
-    linear_horizons, bisection_horizons = check_bisection_regression(linear, bisection)
-    assert bisection_horizons <= linear_horizons
-    assert strategy_horizons(linear, "linear")[("bottom", "triangle")] == linear_horizons
-    ring_linear, ring_bisection = check_bisection_regression(
-        linear, bisection, instance="ring-4"
-    )
-    assert ring_bisection == 0
-    assert ring_bisection < ring_linear
-
-
-def test_check_bisection_regression_requires_the_instance():
-    with pytest.raises(ValueError):
-        check_bisection_regression([], [])
 
 
 # --------------------------------------------------------------------------- #

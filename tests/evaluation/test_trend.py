@@ -43,7 +43,7 @@ def _cell(
     }
 
 
-def _doc(cells, version=6):
+def _doc(cells, version=8):
     return {
         "version": version,
         "num_instances": len(cells),
@@ -115,7 +115,7 @@ def test_ok_to_not_ok_status_change_trips_the_gate():
 
 
 def test_cooperative_deadline_cells_count_as_not_ok():
-    """A schema-v7 SMT cell that degrades to ``termination: "deadline"``
+    """An SMT cell that degrades to ``termination: "deadline"``
     keeps ``status: "ok"`` (its payload is a valid best-effort answer), but
     the gate must treat it like a timeout: certifying within budget before
     and running out of time now is a regression."""
@@ -123,7 +123,7 @@ def test_cooperative_deadline_cells_count_as_not_ok():
     old_cell["payload"]["termination"] = "certified"
     new_cell = _cell("smt/a", certified=False)
     new_cell["payload"]["termination"] = "deadline"
-    report = compare_documents(_doc([old_cell], version=7), _doc([new_cell], version=7))
+    report = compare_documents(_doc([old_cell]), _doc([new_cell]))
     assert not report.ok
     assert any("was ok, now deadline" in m for m in report.regressions)
 
@@ -135,7 +135,7 @@ def test_deadline_cells_in_both_runs_do_not_trip_the_gate():
         cell = _cell("smt/a", certified=False)
         cell["payload"]["termination"] = "deadline"
         cells.append(cell)
-    report = compare_documents(_doc([cells[0]], version=7), _doc([cells[1]], version=7))
+    report = compare_documents(_doc([cells[0]]), _doc([cells[1]]))
     assert report.ok
 
 
@@ -171,8 +171,17 @@ def test_pre_v5_documents_are_rejected():
     doc = _doc([_cell("smt/a")], version=4)
     with pytest.raises(ValueError, match="schema v4"):
         compare_documents(doc, _doc([_cell("smt/a")]))
-    with pytest.raises(ValueError, match="requires v5"):
+    with pytest.raises(ValueError, match="requires schema v8"):
         compare_documents(_doc([_cell("smt/a")]), doc)
+
+
+@pytest.mark.parametrize("version", [7, 9])
+def test_only_the_current_schema_is_compared(version):
+    """Older and newer schemas alike: the runner writes only v8."""
+    with pytest.raises(ValueError, match=f"schema v{version}"):
+        compare_documents(
+            _doc([_cell("smt/a")], version=version), _doc([_cell("smt/a")])
+        )
 
 
 def test_disjoint_runs_are_rejected():
@@ -257,10 +266,10 @@ def test_bench_trend_cli_rejects_old_schemas_and_missing_files(
     tmp_path, capsys
 ):
     v4 = _write(tmp_path, "v4.json", _doc([_cell("smt/a")], version=4))
-    v6 = _write(tmp_path, "v6.json", _doc([_cell("smt/a")]))
-    assert main(["bench-trend", v4, v6]) == 2
+    v8 = _write(tmp_path, "v8.json", _doc([_cell("smt/a")]))
+    assert main(["bench-trend", v4, v8]) == 2
     assert "schema v4" in capsys.readouterr().err
-    assert main(["bench-trend", v6, str(tmp_path / "nope.json")]) == 2
+    assert main(["bench-trend", v8, str(tmp_path / "nope.json")]) == 2
 
 
 def test_bench_trend_cli_allow_missing_and_max_cells(tmp_path, capsys):

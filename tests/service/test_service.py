@@ -13,7 +13,7 @@ import time
 import pytest
 
 from repro.core.report import TERMINATION_CERTIFIED
-from repro.evaluation.runner import SMT_INSTANCES
+from repro.evaluation.runner import SMT_INSTANCES, execute_spec, smt_suite
 from repro.evaluation.executor import TASK_OK
 from repro.service import (
     SchedulingService,
@@ -112,6 +112,35 @@ def test_stream_delivers_witness_before_certified_result():
         assert result["lower_bound"] == result["num_stages"]
 
     _run(scenario, jobs=1, default_time_limit=60.0)
+
+
+def test_service_miss_and_bench_cell_share_the_solver_payload():
+    """Both callers run the one SMT job on the same request document."""
+    [cell] = smt_suite(
+        strategies=("bisection",), instances=["triangle"], layout_kinds=("bottom",)
+    )
+    bench = execute_spec(cell.spec)
+
+    async def scenario(running):
+        doc = {**cell.spec["problem"], "strategy": "bisection"}
+        status, events = await stream_schedule(running.host, running.port, doc)
+        assert status == 200
+        return events[-1]
+
+    served = _run(scenario, jobs=1)
+    assert served["cached"] is False
+    fields = (
+        "stages_tried",
+        "num_horizons",
+        "lower_bound",
+        "upper_bound",
+        "lower_bound_source",
+        "upper_bound_source",
+        "termination",
+        "num_stages",
+    )
+    assert {key: served[key] for key in fields} == {key: bench[key] for key in fields}
+    assert bench["termination"] == TERMINATION_CERTIFIED
 
 
 def test_tight_deadline_still_delivers_validated_witness_first():
@@ -424,6 +453,17 @@ def test_invalid_documents_get_400():
             {"num_qubits": 2, "gates": [[0, 5]]},  # out of range
             {"num_qubits": 3, "gates": [[0, 1]], "layout": 7},  # bad layout
             {"num_qubits": 3, "gates": [[0, 1]], "layout": "full:nope"},
+            # Wrong types are rejected, not coerced; so are unknown layout keys.
+            {"num_qubits": 3, "gates": [[0, 1]], "shielding": "no"},
+            {"num_qubits": 3, "gates": [[0, 1]], "shielding": 1},
+            {"num_qubits": 2.7, "gates": [[0, 1]]},
+            {"num_qubits": True, "gates": []},
+            {"num_qubits": 3, "gates": [[0, 1.5]]},
+            {"num_qubits": 3, "gates": [[0, True]]},
+            {"num_qubits": 3, "gates": [[0, 1]], "layout": {"x_max": 2.5}},
+            {"num_qubits": 3, "gates": [[0, 1]], "layout": {"c_max": True}},
+            {"num_qubits": 3, "gates": [[0, 1]], "layout": {"parameters": 1}},
+            {"num_qubits": 3, "gates": [[0, 1]], "layout": {"kind": 5}},
         ]
         for doc in bad_docs:
             status, body = await stream_schedule(
