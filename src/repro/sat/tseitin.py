@@ -27,7 +27,7 @@ class ClauseSink(Protocol):
 
 
 class TseitinEncoder:
-    """Builds CNF definitions for AND/OR/NOT/XOR/ITE gates.
+    """Builds CNF definitions for AND/OR/NOT/XOR/ITE/MAJ gates.
 
     The encoder caches gate definitions so that structurally identical gates
     (same operation over the same literal multiset) share one output literal,
@@ -95,26 +95,48 @@ class TseitinEncoder:
             return self.true_literal()
         if a == -b:
             return self.false_literal()
-        key = ("iff",) + tuple(sorted((a, b)))
-        cached = self._cache.get(key)
-        if cached is not None:
-            return cached
-        out = self._sink.new_var()
-        self._sink.add_clause([-out, -a, b])
-        self._sink.add_clause([-out, a, -b])
-        self._sink.add_clause([out, a, b])
-        self._sink.add_clause([out, -a, -b])
-        self._cache[key] = out
-        return out
+        for x, y in ((a, b), (b, a)):
+            value = self._constant(x)
+            if value is not None:
+                return y if value else -y
+        # a <-> b == -a <-> -b == -(-a <-> b): one gate per pair of variables.
+        flip = (a < 0) != (b < 0)
+        a, b = sorted((abs(a), abs(b)))
+        key = ("iff", a, b)
+        out = self._cache.get(key)
+        if out is None:
+            out = self._sink.new_var()
+            self._sink.add_clause([-out, -a, b])
+            self._sink.add_clause([-out, a, -b])
+            self._sink.add_clause([out, a, b])
+            self._sink.add_clause([out, -a, -b])
+            self._cache[key] = out
+        return -out if flip else out
 
     def XOR(self, a: int, b: int) -> int:
         """Return a literal equivalent to ``a xor b``."""
         return -self.IFF(a, b)
 
     def ITE(self, cond: int, then_lit: int, else_lit: int) -> int:
-        """Return a literal equivalent to ``cond ? then_lit : else_lit``."""
+        """Return a literal equivalent to ``cond ? then_lit : else_lit``.
+
+        A constant condition selects a branch, opposite branches make an
+        ``IFF``, and a constant branch makes an ``AND``/``OR``; only the
+        general case allocates an ITE gate.
+        """
         if then_lit == else_lit:
             return then_lit
+        if then_lit == -else_lit:
+            return self.IFF(cond, then_lit)
+        value = self._constant(cond)
+        if value is not None:
+            return then_lit if value else else_lit
+        value = self._constant(then_lit)
+        if value is not None:
+            return self.OR([cond, else_lit]) if value else self.AND([-cond, else_lit])
+        value = self._constant(else_lit)
+        if value is not None:
+            return self.OR([-cond, then_lit]) if value else self.AND([cond, then_lit])
         key = ("ite", cond, then_lit, else_lit)
         cached = self._cache.get(key)
         if cached is not None:
@@ -130,6 +152,33 @@ class TseitinEncoder:
         self._cache[key] = out
         return out
 
+    def MAJ(self, a: int, b: int, c: int) -> int:
+        """Return a literal true iff at least two of *a*, *b*, *c* are true.
+
+        The carry of a full adder.  Two equal inputs decide the gate, two
+        opposite inputs leave the third, and a constant input makes an
+        ``OR`` (true) or ``AND`` (false) of the other two.
+        """
+        for x, y, z in ((a, b, c), (a, c, b), (b, c, a)):
+            if x == y:
+                return x
+            if x == -y:
+                return z
+        for x, y, z in ((a, b, c), (b, a, c), (c, a, b)):
+            value = self._constant(x)
+            if value is not None:
+                return self.OR([y, z]) if value else self.AND([y, z])
+        key = ("maj",) + tuple(sorted((a, b, c)))
+        cached = self._cache.get(key)
+        if cached is not None:
+            return cached
+        out = self._sink.new_var()
+        for x, y in ((a, b), (a, c), (b, c)):
+            self._sink.add_clause([-x, -y, out])
+            self._sink.add_clause([x, y, -out])
+        self._cache[key] = out
+        return out
+
     def assert_true(self, lit: int) -> None:
         """Constrain *lit* to be true at the top level."""
         self._sink.add_clause([lit])
@@ -141,6 +190,12 @@ class TseitinEncoder:
     # ------------------------------------------------------------------ #
     # Helpers
     # ------------------------------------------------------------------ #
+    def _constant(self, lit: int) -> bool | None:
+        """The value of *lit* if it is the true or false literal, else ``None``."""
+        if self._true_lit is None or abs(lit) != self._true_lit:
+            return None
+        return lit > 0
+
     def _normalise(self, literals: Sequence[int]) -> list[int] | None:
         """Sort/deduplicate literals of an AND gate.
 

@@ -2,7 +2,14 @@
 
 Bounded integers are encoded as two's-complement bit-vectors whose width is
 derived from the expression's conservative bounds.  Boolean structure is
-translated with the Tseitin encoder from :mod:`repro.sat.tseitin`.
+translated with the Tseitin encoder from :mod:`repro.sat.tseitin`, whose
+gates fold constant inputs, so constant bits cost nothing downstream.
+
+An integer variable with a non-negative domain gets the constant false
+literal as its sign bit: ``0 <= var`` then holds by construction (no
+comparator), and every sign-extension, adder and comparator bit that reads
+that sign folds away.  Adders carry with one ``MAJ`` gate per bit, and a
+comparator is a chain of ``MAJ`` gates from the least significant bit up.
 
 The encoder is stateless with respect to the SAT solver: it can emit clauses
 into any object exposing ``new_var``/``add_clause`` (a solver or a
@@ -198,10 +205,16 @@ class ExpressionEncoder:
 
     def _allocate_int_var(self, var: T.IntVar) -> BitVector:
         width = width_for_bounds(var.lo, var.hi)
-        bits = [self._sink.new_var() for _ in range(width)]
+        if var.lo >= 0:
+            # A non-negative domain has a constant zero sign bit, which
+            # already enforces 0 <= var and folds through every gate above.
+            bits = [self._sink.new_var() for _ in range(width - 1)]
+            bits.append(self._gates.false_literal())
+        else:
+            bits = [self._sink.new_var() for _ in range(width)]
         vec = BitVector(bits)
         # Domain constraints lo <= var <= hi (skip when the width is tight).
-        min_rep = -(1 << (width - 1))
+        min_rep = 0 if var.lo >= 0 else -(1 << (width - 1))
         max_rep = (1 << (width - 1)) - 1
         if var.lo > min_rep:
             lo_vec = self.constant_vector(var.lo)
@@ -222,7 +235,11 @@ class ExpressionEncoder:
         return BitVector(vec.bits + [sign] * (width - vec.width))
 
     def _add(self, a: BitVector, b: BitVector, extra_bit: bool = True) -> BitVector:
-        """Ripple-carry addition; the result is wide enough not to overflow."""
+        """Ripple-carry addition; the result is wide enough not to overflow.
+
+        Each bit is ``a_i xor b_i xor carry`` and the next carry is the
+        full adder's ``MAJ(a_i, b_i, carry)``.
+        """
         width = max(a.width, b.width) + (1 if extra_bit else 0)
         a = self._extend(a, width)
         b = self._extend(b, width)
@@ -230,14 +247,15 @@ class ExpressionEncoder:
         bits: list[int] = []
         carry = gates.false_literal()
         for ai, bi in zip(a.bits, b.bits):
-            s = gates.XOR(gates.XOR(ai, bi), carry)
-            carry = gates.OR([gates.AND([ai, bi]), gates.AND([ai, carry]), gates.AND([bi, carry])])
-            bits.append(s)
+            bits.append(gates.XOR(gates.XOR(ai, bi), carry))
+            carry = gates.MAJ(ai, bi, carry)
         return BitVector(bits)
 
     def _negate(self, a: BitVector) -> BitVector:
         """Two's-complement negation (with one extra bit to avoid overflow)."""
         extended = self._extend(a, a.width + 1)
+        # A constant zero sign bit inverts to two constant one bits, which the
+        # adder's gates fold, so negating a non-negative value stays cheap.
         inverted = BitVector([-bit for bit in extended.bits])
         # The +1 constant must carry a zero sign bit, hence two bits wide.
         one = self.constant_vector(1)
@@ -276,16 +294,13 @@ class ExpressionEncoder:
         lvec = self._extend(lvec, width)
         rvec = self._extend(rvec, width)
         gates = self._gates
-        # Compare the sign bits first, then the magnitudes MSB-first.
-        l_sign = lvec.sign_bit()
-        r_sign = rvec.sign_bit()
-        # Unsigned comparison of all bits below the sign bit.
+        # Iterating LSB -> MSB, ``lt`` holds "lvec < rvec on the bits seen so
+        # far": bit i decides when a_i != b_i (then lt = b_i), else the lower
+        # bits decide.  That is exactly MAJ(-a_i, b_i, lt), one gate per bit.
         lt = gates.false_literal()
         for a, b in zip(lvec.bits[:-1], rvec.bits[:-1]):
-            # Iterating LSB -> MSB: the more significant comparison dominates.
-            bit_lt = gates.AND([-a, b])
-            bit_eq = gates.IFF(a, b)
-            lt = gates.OR([bit_lt, gates.AND([bit_eq, lt])])
-        same_sign_lt = gates.AND([gates.IFF(l_sign, r_sign), lt])
-        neg_vs_pos = gates.AND([l_sign, -r_sign])
-        return gates.OR([neg_vs_pos, same_sign_lt])
+            lt = gates.MAJ(-a, b, lt)
+        # The sign bit weighs -2^(w-1): a set sign bit makes its side smaller,
+        # so the same step runs with both polarities swapped.  Two constant
+        # zero sign bits (non-negative operands) fold the step away.
+        return gates.MAJ(lvec.sign_bit(), -rvec.sign_bit(), lt)

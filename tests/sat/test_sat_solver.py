@@ -2,8 +2,10 @@
 a brute-force model enumerator and against the preserved seed reference
 implementation."""
 
+import gzip
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -297,11 +299,17 @@ def test_statistics_rates_stay_finite_on_instant_solves():
 def test_default_core_search_is_pinned():
     """The flat core runs exactly one search.  Its counters on a reduced
     scheduling refutation are deterministic, so any change to propagation,
-    analysis, restarts or clause-database reduction shows up here."""
-    from repro.sat.backend import create_backend
-    from repro.sat.bench import scheduling_cnf
+    analysis, restarts or clause-database reduction shows up here.
 
-    cnf = scheduling_cnf(layout="bottom", instance="triangle", num_stages=4)
+    The formula is a committed DIMACS file (``bottom``/``triangle`` at four
+    stages, 3,975 variables and 13,650 clauses as the bit-blaster once
+    emitted it), so a change to the encoder leaves this pin alone; the
+    encoder's own output is pinned in ``tests/smt``."""
+    from repro.sat.backend import create_backend
+
+    fixture = Path(__file__).with_name("bottom_triangle_s4.cnf.gz")
+    cnf = CNF.from_dimacs(gzip.decompress(fixture.read_bytes()).decode())
+    assert (cnf.num_vars, cnf.num_clauses) == (3_975, 13_650)
     solver = create_backend("flat")
     solver.add_cnf(cnf)
     assert solver.solve() is SolveResult.UNSAT

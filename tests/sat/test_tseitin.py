@@ -2,6 +2,7 @@
 
 import itertools
 
+import pytest
 
 from repro.sat import CNF, CDCLSolver, SolveResult, TseitinEncoder
 
@@ -127,3 +128,108 @@ def test_assert_true_and_clause():
     assert solver.solve() is SolveResult.SAT
     model = solver.model()
     assert model[a] and model[b]
+
+
+def test_maj_gate_truth_table():
+    check_gate(
+        lambda enc, ins: enc.MAJ(ins[0], ins[1], ins[2]),
+        lambda a, b, c: a + b + c >= 2,
+        3,
+    )
+
+
+def test_maj_gate_is_one_variable_and_six_clauses():
+    cnf = CNF()
+    enc = TseitinEncoder(cnf)
+    a, b, c = cnf.new_var(), cnf.new_var(), cnf.new_var()
+    out = enc.MAJ(a, b, c)
+    assert (cnf.num_vars, cnf.num_clauses) == (4, 6)
+    assert enc.MAJ(c, a, b) == out
+    assert (cnf.num_vars, cnf.num_clauses) == (4, 6)
+
+
+GATES = {
+    "IFF": (lambda enc, a, b: enc.IFF(a, b), lambda a, b: a == b, 2),
+    "XOR": (lambda enc, a, b: enc.XOR(a, b), lambda a, b: a != b, 2),
+    "ITE": (lambda enc, c, t, e: enc.ITE(c, t, e), lambda c, t, e: t if c else e, 3),
+    "MAJ": (lambda enc, a, b, c: enc.MAJ(a, b, c), lambda a, b, c: a + b + c >= 2, 3),
+}
+
+CONSTANT_CASES = [
+    (name, position, value)
+    for name, (_, _, arity) in GATES.items()
+    for position in range(arity)
+    for value in (False, True)
+]
+
+
+def _with_constant(enc, inputs, position, value):
+    constant = enc.true_literal() if value else enc.false_literal()
+    return inputs[:position] + [constant] + inputs[position:]
+
+
+@pytest.mark.parametrize("name,position,value", CONSTANT_CASES)
+def test_gate_with_a_constant_input_keeps_its_truth_table(name, position, value):
+    build, reference, arity = GATES[name]
+    check_gate(
+        lambda enc, ins: build(enc, *_with_constant(enc, list(ins), position, value)),
+        lambda *bits: reference(*bits[:position], value, *bits[position:]),
+        arity - 1,
+    )
+
+
+@pytest.mark.parametrize("name,position,value", CONSTANT_CASES)
+def test_gate_with_a_constant_input_folds(name, position, value):
+    """A constant input never costs a gate of the kind asked for: IFF/XOR
+    and a constant ITE condition fold to an input literal, a constant ITE
+    branch or MAJ input to the (cached) AND/OR of the other two."""
+    build, _, arity = GATES[name]
+    cnf = CNF()
+    enc = TseitinEncoder(cnf)
+    free = [cnf.new_var() for _ in range(arity - 1)]
+    args = _with_constant(enc, free, position, value)
+    num_vars = cnf.num_vars
+    out = build(enc, *args)
+    if name in ("IFF", "XOR") or (name == "ITE" and position == 0):
+        assert cnf.num_vars == num_vars
+        assert abs(out) in free
+        return
+    x, y = free
+    if name == "MAJ":
+        expected = enc.OR([x, y]) if value else enc.AND([x, y])
+    elif position == 1:
+        expected = enc.OR([x, y]) if value else enc.AND([-x, y])
+    else:
+        expected = enc.OR([-x, y]) if value else enc.AND([x, y])
+    assert out == expected
+    assert cnf.num_vars == num_vars + 1
+
+
+def test_ite_with_opposite_branches_is_an_iff():
+    check_gate(
+        lambda enc, ins: enc.ITE(ins[0], ins[1], -ins[1]), lambda c, x: c == x, 2
+    )
+    cnf = CNF()
+    enc = TseitinEncoder(cnf)
+    c, x = cnf.new_var(), cnf.new_var()
+    assert enc.ITE(c, x, -x) == enc.IFF(c, x)
+    assert enc.ITE(c, -x, x) == -enc.IFF(c, x)
+    assert cnf.num_vars == 3
+
+
+@pytest.mark.parametrize(
+    "inputs,expected",
+    [
+        (lambda a, b: (a, a, b), lambda a, b: a),
+        (lambda a, b: (b, a, b), lambda a, b: b),
+        (lambda a, b: (a, -a, b), lambda a, b: b),
+        (lambda a, b: (a, b, -b), lambda a, b: a),
+        (lambda a, b: (-b, a, b), lambda a, b: a),
+    ],
+)
+def test_maj_with_equal_or_opposite_inputs_folds(inputs, expected):
+    cnf = CNF()
+    enc = TseitinEncoder(cnf)
+    a, b = cnf.new_var(), cnf.new_var()
+    assert enc.MAJ(*inputs(a, b)) == expected(a, b)
+    assert (cnf.num_vars, cnf.num_clauses) == (2, 0)

@@ -283,3 +283,127 @@ def test_property_random_order_constraints(data):
     if result.is_sat():
         model = solver.model()
         assert holds([model[v] for v in variables])
+
+
+# --------------------------------------------------------------------------- #
+# Model enumeration against Python: every model the bit-blaster admits, and
+# only those.  Domains start at 0 (constant sign bit, no lower comparator),
+# above 0 (constant sign bit plus a lower comparator), below 0 (free sign
+# bit), and include upper ends that are not 2^k - 1.
+# --------------------------------------------------------------------------- #
+DOMAINS = [(0, 3), (0, 2), (0, 5), (2, 5), (1, 6), (-3, 2), (-4, -1), (0, 0)]
+
+DOMAIN_PAIRS = [
+    ((0, 3), (0, 3)),
+    ((0, 2), (0, 5)),
+    ((2, 5), (1, 6)),
+    ((-3, 2), (0, 5)),
+    ((0, 2), (-4, -1)),
+    ((1, 6), (-3, 2)),
+]
+
+RELATIONS = {
+    "<": lambda a, b: a < b,
+    "<=": lambda a, b: a <= b,
+    "==": lambda a, b: a == b,
+    ">": lambda a, b: a > b,
+    ">=": lambda a, b: a >= b,
+}
+
+ARITHMETIC = {
+    "+": lambda a, b: a + b,
+    "-": lambda a, b: a - b,
+    "abs(-)": lambda a, b: abs(a - b),
+    "abs(+)": lambda a, b: abs(a + b),
+    "-(+)": lambda a, b: -(a + b),
+}
+
+
+def enumerate_models(solver, variables):
+    """All value tuples of *variables* the solver admits, by blocking clauses."""
+    found = set()
+    while solver.check().is_sat():
+        model = solver.model()
+        values = tuple(model[v] for v in variables)
+        assert values not in found
+        found.add(values)
+        solver.add(Or(*[v != value for v, value in zip(variables, values)]))
+    return found
+
+
+def domain(bounds):
+    return range(bounds[0], bounds[1] + 1)
+
+
+@pytest.mark.parametrize("bounds", DOMAINS)
+def test_enumerated_domain_is_exactly_the_declared_range(bounds):
+    solver = Solver(incremental=True)
+    x = solver.int_var("x", *bounds)
+    assert enumerate_models(solver, [x]) == {(v,) for v in domain(bounds)}
+
+
+@pytest.mark.parametrize("bounds", DOMAINS)
+def test_negation_and_abs_enumerate_like_python(bounds):
+    solver = Solver(incremental=True)
+    x = solver.int_var("x", *bounds)
+    n = solver.int_var("n", -8, 8)
+    a = solver.int_var("a", 0, 8)
+    solver.add(n == -x, a == abs(x))
+    assert enumerate_models(solver, [x, n, a]) == {
+        (v, -v, abs(v)) for v in domain(bounds)
+    }
+
+
+@pytest.mark.parametrize("op", sorted(RELATIONS))
+@pytest.mark.parametrize("xb,yb", DOMAIN_PAIRS)
+def test_comparisons_enumerate_like_python(op, xb, yb):
+    solver = Solver(incremental=True)
+    x = solver.int_var("x", *xb)
+    y = solver.int_var("y", *yb)
+    solver.add(RELATIONS[op](x, y))
+    expected = {
+        (a, b) for a in domain(xb) for b in domain(yb) if RELATIONS[op](a, b)
+    }
+    assert enumerate_models(solver, [x, y]) == expected
+
+
+@pytest.mark.parametrize("op", sorted(ARITHMETIC))
+@pytest.mark.parametrize("xb,yb", DOMAIN_PAIRS)
+def test_arithmetic_enumerates_like_python(op, xb, yb):
+    solver = Solver(incremental=True)
+    x = solver.int_var("x", *xb)
+    y = solver.int_var("y", *yb)
+    z = solver.int_var("z", -16, 16)
+    solver.add(z == ARITHMETIC[op](x, y))
+    expected = {
+        (a, b, ARITHMETIC[op](a, b)) for a in domain(xb) for b in domain(yb)
+    }
+    assert enumerate_models(solver, [x, y, z]) == expected
+
+
+@pytest.mark.parametrize("bounds", DOMAINS)
+def test_comparisons_against_constants_enumerate_like_python(bounds):
+    lo, hi = bounds
+    for op, relation in RELATIONS.items():
+        for c in range(lo - 2, hi + 3):
+            for flipped in (False, True):
+                solver = Solver(incremental=True)
+                x = solver.int_var("x", lo, hi)
+                solver.add(relation(c, x) if flipped else relation(x, c))
+                expected = {
+                    (v,)
+                    for v in domain(bounds)
+                    if (relation(c, v) if flipped else relation(v, c))
+                }
+                assert enumerate_models(solver, [x]) == expected, (op, c, flipped)
+
+
+def test_bottom_triangle_encoding_size_is_pinned():
+    """The bit-blaster's output on one reduced scheduling probe.  Constant
+    sign bits on non-negative domains, folded gates and MAJ-based adders
+    and comparators took it from 3,975 variables and 13,650 clauses to the
+    numbers below; a change that re-inflates the encoding fails here."""
+    from repro.sat.bench import scheduling_cnf
+
+    cnf = scheduling_cnf(layout="bottom", instance="triangle", num_stages=4)
+    assert (cnf.num_vars, cnf.num_clauses) == (2_210, 8_004)
