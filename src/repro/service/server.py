@@ -39,6 +39,25 @@ Endpoints
 ``GET /v1/stats``
     Aggregate counters: requests, cache hits/misses/hit-rate, pool stats.
 
+Connections
+-----------
+
+Connections persist, as HTTP/1.1 makes the default: one connection
+carries any number of requests in turn, each response delimited by its
+``Content-Length`` or by the chunked terminator and stamped
+``Connection: keep-alive``.  The server closes a connection
+
+* after answering a request that says ``Connection: close``, or an
+  HTTP/1.0 request that does not ask for ``keep-alive``;
+* after answering a malformed request whose body it did not read with a
+  ``400``;
+* when the client closes or resets it;
+* when it has waited :data:`IDLE_TIMEOUT_S` seconds for its next request;
+* at shutdown (:meth:`ServiceServer.aclose`).
+
+The responses of the first two cases say ``Connection: close``.  A miss
+holds its connection until its result event has been sent.
+
 Architecture: requests land on the asyncio event loop, which performs
 validation, canonicalisation and cache lookups inline (cheap, pure
 Python) and is the single owner of the persistent
@@ -95,10 +114,15 @@ from repro.evaluation.executor import (
 )
 from repro.evaluation.runner import solve_job, warm_worker
 from repro.service.cache import CertifiedResultCache
+from repro.service.client import close_idle_connections
 from repro.service.ledger import RequestLedger
 
 #: ``termination`` stamp of events emitted while the solve is in flight.
 TERMINATION_PENDING = "pending"
+
+#: Seconds a connection may wait for its next request before the server
+#: closes it.
+IDLE_TIMEOUT_S = 30.0
 
 _MAX_HEADER_BYTES = 64 * 1024
 _MAX_BODY_BYTES = 8 * 1024 * 1024
@@ -262,6 +286,7 @@ class SchedulingService:
             "results_ok": 0,
             "results_degraded": 0,
             "worker_crashes": 0,
+            "connections_accepted": 0,
         }
         # The pool forks its workers eagerly here, before any server
         # thread exists — forking from a single-threaded parent is the
@@ -424,14 +449,20 @@ class _BadRequest(Exception):
 
 async def _read_request(
     reader: asyncio.StreamReader,
-) -> Optional[tuple[str, str, dict, bytes]]:
+) -> Optional[tuple[str, str, bool, bytes]]:
+    """Read one request: ``(method, target, keep_alive, body)``.
+
+    None when the client closed the connection before a request line.
+    ``keep_alive`` is HTTP/1.1's default unless the request says
+    ``Connection: close``; HTTP/1.0 must ask for ``keep-alive``.
+    """
     request_line = await reader.readline()
     if not request_line:
         return None
     parts = request_line.decode("latin-1").split()
     if len(parts) != 3:
         raise _BadRequest("malformed request line")
-    method, target, _version = parts
+    method, target, version = parts
     headers: dict[str, str] = {}
     total = 0
     while True:
@@ -443,53 +474,91 @@ async def _read_request(
             raise _BadRequest("header section too large")
         name, _, value = line.decode("latin-1").partition(":")
         headers[name.strip().lower()] = value.strip()
+    if "transfer-encoding" in headers:
+        # Only Content-Length frames a request body; anything else would
+        # leave the rest of the body to be read as the next request.
+        raise _BadRequest("request bodies must carry Content-Length")
     length = int(headers.get("content-length", "0") or "0")
     if length > _MAX_BODY_BYTES:
         raise _BadRequest("request body too large")
     body = await reader.readexactly(length) if length else b""
-    return method, target, headers, body
+    tokens = {t.strip().lower() for t in headers.get("connection", "").split(",")}
+    if version == "HTTP/1.1":
+        keep_alive = "close" not in tokens
+    else:
+        keep_alive = "keep-alive" in tokens
+    return method, target, keep_alive, body
+
+
+def _connection_header(keep_alive: bool) -> str:
+    return f"Connection: {'keep-alive' if keep_alive else 'close'}\r\n"
 
 
 async def _send_json(
-    writer: asyncio.StreamWriter, status: int, obj: dict
+    writer: asyncio.StreamWriter, status: int, obj: dict, keep_alive: bool
 ) -> None:
     body = (json.dumps(obj, sort_keys=True) + "\n").encode("utf-8")
     head = (
         f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}\r\n"
         "Content-Type: application/json\r\n"
         f"Content-Length: {len(body)}\r\n"
-        "Connection: close\r\n"
+        f"{_connection_header(keep_alive)}"
         "\r\n"
     ).encode("latin-1")
     writer.write(head + body)
     await writer.drain()
 
 
-def _start_stream(writer: asyncio.StreamWriter) -> Callable:
+def _stream_head(keep_alive: bool) -> bytes:
+    """Status line and headers of a chunked ndjson response."""
+    return (
+        "HTTP/1.1 200 OK\r\n"
+        "Content-Type: application/x-ndjson\r\n"
+        "Transfer-Encoding: chunked\r\n"
+        f"{_connection_header(keep_alive)}"
+        "\r\n"
+    ).encode("latin-1")
+
+
+def _chunk(event: dict) -> bytes:
+    """One event as one chunk holding one JSON line."""
+    line = (json.dumps(event, sort_keys=True) + "\n").encode("utf-8")
+    return f"{len(line):x}\r\n".encode("latin-1") + line + b"\r\n"
+
+
+#: Terminator of a chunked response; it delimits each stream on a
+#: persistent connection.
+_LAST_CHUNK = b"0\r\n\r\n"
+
+
+def _start_stream(writer: asyncio.StreamWriter, keep_alive: bool) -> Callable:
     """Open a chunked ndjson response; returns ``send(event)``."""
-    writer.write(
-        b"HTTP/1.1 200 OK\r\n"
-        b"Content-Type: application/x-ndjson\r\n"
-        b"Transfer-Encoding: chunked\r\n"
-        b"Connection: close\r\n"
-        b"\r\n"
-    )
+    writer.write(_stream_head(keep_alive))
 
     async def send(event: dict) -> None:
-        line = (json.dumps(event, sort_keys=True) + "\n").encode("utf-8")
-        writer.write(f"{len(line):x}\r\n".encode("latin-1") + line + b"\r\n")
+        writer.write(_chunk(event))
         await writer.drain()
 
     return send
 
 
 async def _end_stream(writer: asyncio.StreamWriter) -> None:
-    writer.write(b"0\r\n\r\n")
+    writer.write(_LAST_CHUNK)
     await writer.drain()
 
 
 class ServiceServer:
-    """asyncio HTTP server wired to a :class:`SchedulingService`."""
+    """asyncio HTTP server wired to a :class:`SchedulingService`.
+
+    Connections persist (module docstring, *Connections*):
+    :meth:`_handle_connection` serves requests in turn on one connection
+    until a request asks to close or is malformed, the client goes away,
+    the connection waits :data:`IDLE_TIMEOUT_S` for a request, or
+    :meth:`aclose` shuts the server down.  The server
+    closes a connection of its own accord only while it is idle, so a
+    client that finds a reused connection closed before any response byte
+    knows its request was never read.
+    """
 
     def __init__(
         self,
@@ -501,6 +570,9 @@ class ServiceServer:
         self.host = host
         self.port = port
         self._server: Optional[asyncio.AbstractServer] = None
+        self._handlers: set[asyncio.Task] = set()
+        self._idle: set[asyncio.StreamWriter] = set()  # awaiting a request
+        self._closed = False
 
     async def start(self) -> None:
         self._server = await asyncio.start_server(
@@ -509,8 +581,23 @@ class ServiceServer:
         self.port = self._server.sockets[0].getsockname()[1]
 
     async def aclose(self) -> None:
+        """Stop listening, close every connection and wait until all have.
+
+        Idle connections close at once, busy ones after their current
+        response, so a pending miss holds this until the service answers
+        it (:meth:`RunningService.aclose` closes the service first, which
+        answers every pending miss).  An idle connection left open would
+        hold it for :data:`IDLE_TIMEOUT_S`, and so would it hold
+        ``Server.wait_closed``, which waits for every open connection on
+        Python 3.12+.
+        """
+        self._closed = True
         if self._server is not None:
             self._server.close()
+            for writer in self._idle:
+                writer.close()
+            if self._handlers:
+                await asyncio.wait(self._handlers)
             await self._server.wait_closed()
             self._server = None
 
@@ -520,37 +607,62 @@ class ServiceServer:
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        self.service.counters["connections_accepted"] += 1
+        handler = asyncio.current_task()
+        self._handlers.add(handler)
+        loop = asyncio.get_running_loop()
         try:
-            try:
-                request = await _read_request(reader)
-            except (_BadRequest, ValueError, asyncio.IncompleteReadError) as exc:
-                await _send_json(writer, 400, {"error": str(exc)})
-                return
-            if request is None:
-                return
-            method, target, _headers, body = request
-            if target == "/v1/schedule":
-                if method != "POST":
-                    await _send_json(writer, 405, {"error": "POST required"})
+            keep_alive = True
+            while keep_alive and not self._closed:
+                self._idle.add(writer)
+                idle = loop.call_later(IDLE_TIMEOUT_S, writer.close)
+                try:
+                    request = await _read_request(reader)
+                except (_BadRequest, ValueError, asyncio.IncompleteReadError) as exc:
+                    if not writer.is_closing():
+                        await _send_json(
+                            writer, 400, {"error": str(exc)}, keep_alive=False
+                        )
                     return
-                await self._handle_schedule(body, writer)
-            elif target == "/v1/healthz":
-                await _send_json(writer, 200, self.service.health())
-            elif target == "/v1/stats":
-                await _send_json(writer, 200, self.service.stats())
-            else:
-                await _send_json(writer, 404, {"error": f"no route {target}"})
+                finally:
+                    idle.cancel()
+                    self._idle.discard(writer)
+                if request is None:
+                    return
+                method, target, keep_alive, body = request
+                await self._route(method, target, body, writer, keep_alive)
         except (ConnectionResetError, BrokenPipeError):
             pass  # client went away mid-response
         finally:
+            self._handlers.discard(handler)
             try:
                 writer.close()
                 await writer.wait_closed()
             except (ConnectionResetError, BrokenPipeError, OSError):
                 pass
 
+    async def _route(
+        self,
+        method: str,
+        target: str,
+        body: bytes,
+        writer: asyncio.StreamWriter,
+        keep_alive: bool,
+    ) -> None:
+        if target == "/v1/schedule":
+            if method != "POST":
+                await _send_json(writer, 405, {"error": "POST required"}, keep_alive)
+            else:
+                await self._handle_schedule(body, writer, keep_alive)
+        elif target == "/v1/healthz":
+            await _send_json(writer, 200, self.service.health(), keep_alive)
+        elif target == "/v1/stats":
+            await _send_json(writer, 200, self.service.stats(), keep_alive)
+        else:
+            await _send_json(writer, 404, {"error": f"no route {target}"}, keep_alive)
+
     async def _handle_schedule(
-        self, body: bytes, writer: asyncio.StreamWriter
+        self, body: bytes, writer: asyncio.StreamWriter, keep_alive: bool
     ) -> None:
         service = self.service
         try:
@@ -564,7 +676,7 @@ class ServiceServer:
         except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
             service.counters["invalid_requests"] += 1
             await _send_json(
-                writer, 400, {"error": f"{type(exc).__name__}: {exc}"}
+                writer, 400, {"error": f"{type(exc).__name__}: {exc}"}, keep_alive
             )
             return
 
@@ -577,7 +689,7 @@ class ServiceServer:
         if cached_entry is not None:
             service.counters["cache_hits"] += 1
             await self._serve_cache_hit(
-                writer, request_id, key, cached_entry, received
+                writer, keep_alive, request_id, key, cached_entry, received
             )
             return
         service.counters["cache_misses"] += 1
@@ -613,12 +725,13 @@ class ServiceServer:
                     "queue_limit": service.queue_limit,
                     "request_id": request_id,
                 },
+                keep_alive,
             )
             return
 
         if service.ledger is not None:
             service.ledger.record_request(request_id)
-        send = _start_stream(writer)
+        send = _start_stream(writer, keep_alive)
         await send(
             {
                 "event": "accepted",
@@ -655,25 +768,24 @@ class ServiceServer:
     async def _serve_cache_hit(
         self,
         writer: asyncio.StreamWriter,
+        keep_alive: bool,
         request_id: str,
         key: str,
         entry: dict,
         received: float,
     ) -> None:
+        """Send a hit's whole response in one write and one drain."""
         service = self.service
         if service.ledger is not None:
             service.ledger.record_request(request_id)
-        send = _start_stream(writer)
-        await send(
-            {
-                "event": "accepted",
-                "request_id": request_id,
-                "canonical_key": key,
-                "cache": "hit",
-                "queue_depth": service.queue_depth(),
-                "termination": entry.get("termination", TERMINATION_CERTIFIED),
-            }
-        )
+        accepted = {
+            "event": "accepted",
+            "request_id": request_id,
+            "canonical_key": key,
+            "cache": "hit",
+            "queue_depth": service.queue_depth(),
+            "termination": entry.get("termination", TERMINATION_CERTIFIED),
+        }
         result = {
             "event": "result",
             "request_id": request_id,
@@ -682,8 +794,10 @@ class ServiceServer:
             "solver_probes": 0,
             **entry,
         }
-        await send(result)
-        await _end_stream(writer)
+        writer.write(
+            _stream_head(keep_alive) + _chunk(accepted) + _chunk(result) + _LAST_CHUNK
+        )
+        await writer.drain()
         service.counters["results_ok"] += 1
         self._finish_ledger(request_id, key, result, received)
 
@@ -801,8 +915,15 @@ class RunningService:
         return self.server.port
 
     async def aclose(self) -> None:
-        await self.server.aclose()
+        """Close the service, the server and this process's pooled client
+        connections to it.
+
+        The service closes first: it ends every pending miss with a
+        ``backend-error`` result, so no busy connection holds the server.
+        """
         self.service.close()
+        await self.server.aclose()
+        close_idle_connections(self.host, self.port)
 
 
 async def start_service(
