@@ -183,8 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=list(SMT_STRATEGIES),
         default=None,
         dest="strategies",
-        help="search strategies for the smt suite (default: all; "
-        "'coldstart' is the non-incremental linear reference)",
+        help="search strategies for the smt suite (default: all)",
     )
     bench.add_argument(
         "--sat-backend",

@@ -13,7 +13,7 @@ bounds).  Three backends produce the same
 * :class:`repro.core.scheduler.SMTScheduler` — the faithful reproduction of
   the paper's approach: the symbolic formulation of Sec. IV (variables V1-V3,
   constraints C1-C6) solved with :mod:`repro.smt`, minimising the number of
-  stages with a pluggable search strategy (``linear`` iterative deepening,
+  stages with a search strategy (``linear`` iterative deepening,
   ``bisection`` between the IR's analytic bounds, or a ``portfolio`` racing
   both — see :mod:`repro.core.strategies`).
 * :class:`repro.core.structured.StructuredScheduler` — a constructive
@@ -48,7 +48,7 @@ from repro.core.report import (
 from repro.core.validator import ValidationError, validate_schedule
 from repro.core.structured import StructuredScheduler
 from repro.core.scheduler import SMTScheduler
-from repro.core.strategies import available_strategies, get_strategy, register_strategy
+from repro.core.strategies import available_strategies, get_strategy
 from repro.core.visualize import render_schedule, render_stage
 
 __all__ = [
@@ -78,7 +78,6 @@ __all__ = [
     "ZoneCapacities",
     "available_strategies",
     "get_strategy",
-    "register_strategy",
     "render_schedule",
     "render_stage",
     "validate_schedule",

@@ -2,8 +2,10 @@
 
 Two instance flavours exist:
 
-* :class:`EncodedInstance` — the cold-start encoding: a fixed stage count,
-  one fresh solver per instance.
+* :class:`EncodedInstance` — the one-shot encoding: a fixed stage count,
+  one fresh solver per instance.  No search runs on it; it is the
+  reference the differential tests hold the incremental search against,
+  and the CNF source of :func:`repro.sat.bench.scheduling_cnf`.
 * :class:`IncrementalInstance` — a growable encoding: the instance starts at
   some stage count and is *extended in place* one stage at a time
   (:meth:`IncrementalInstance.extend_to`).  The stage horizon is imposed with

@@ -2,7 +2,7 @@
 
 To satisfy the objective of Sec. IV-C — minimise the overall number of
 stages — the scheduler decides fixed-``S`` instances with the SMT layer and
-searches over ``S`` with a pluggable *strategy*
+searches over ``S`` with a *strategy*
 (:mod:`repro.core.strategies`):
 
 * ``linear`` (default) — the paper's Sec. V-A procedure: increment ``S``
@@ -21,12 +21,9 @@ searches over ``S`` with a pluggable *strategy*
 
 ``linear`` and ``bisection`` differ only in the horizon they pick next:
 one driver (:func:`repro.core.strategies.search.search`) runs the probe
-loop and the graceful-degradation contract for both.  With
-``incremental=True`` its probes share one growable
-:class:`~repro.core.encoding.IncrementalInstance` (assumption-guarded
-activation literals, learned clauses survive); ``incremental=False``
-(linear only) selects the seed's cold-start reference context (fresh
-encoding and solver per horizon).
+loop and the graceful-degradation contract for both.  Its probes share
+one growable :class:`~repro.core.encoding.IncrementalInstance`
+(assumption-guarded activation literals, learned clauses survive).
 
 All strategies return a :class:`SchedulerReport` recording the analytic
 bounds *with their certificate provenance* (``lower_bound_source`` names
@@ -69,7 +66,6 @@ class SMTScheduler:
         max_stages: int = 32,
         max_conflicts_per_instance: Optional[int] = None,
         time_limit_per_instance: Optional[float] = None,
-        incremental: bool = True,
         strategy: str = "linear",
         sat_backend: Optional[str] = None,
         deadline: Optional[float] = None,
@@ -90,13 +86,12 @@ class SMTScheduler:
             max_stages=max_stages,
             max_conflicts=max_conflicts_per_instance,
             time_limit=time_limit_per_instance,
-            incremental=incremental,
             sat_backend=sat_backend,
             backend_retries=backend_retries,
         )
-        # Resolve eagerly so unknown names and incompatible configurations
-        # fail at construction time, not mid-batch.
-        get_strategy(strategy).check_limits(limits)
+        # Resolve eagerly so unknown names fail at construction time, not
+        # mid-batch.
+        get_strategy(strategy)
         info = backend_info(sat_backend)
         if not info.is_available():
             raise ValueError(

@@ -1,12 +1,11 @@
-"""Pluggable minimum-stage search strategies.
+"""Minimum-stage search strategies.
 
-Importing this package registers the built-in strategies:
+:data:`STRATEGIES` names every strategy the package offers:
 
 * ``linear`` — iterative deepening from the analytic lower bound (the
   paper's Sec. V-A procedure and the seed's behaviour).
 * ``bisection`` — binary search between the IR's analytic lower bound and
-  the structured scheduler's certified upper bound, on one incremental
-  instance.
+  the structured scheduler's certified upper bound.
 * ``portfolio`` — races the single strategies (plus one bisection variant
   per extra usable SAT backend) across worker processes; the first
   certified optimum wins and the losers are cancelled.
@@ -15,22 +14,15 @@ Importing this package registers the built-in strategies:
 :func:`repro.core.strategies.search.search`, which owns the probe loop and
 the graceful-degradation contract (deadline checks between probes,
 backend failures, sound bound lifting, the structured-witness fallback
-and the termination verdict).  The probes run through a context
-(:mod:`repro.core.strategies.base`): one growable incremental instance, or
-a fresh cold-start encoding per horizon with ``incremental=False``.
+and the termination verdict).  Every probe runs on one growable
+incremental instance (:class:`~repro.core.strategies.base.SearchContext`).
 
-Strategies are looked up by name through :func:`get_strategy`; third-party
-strategies can join the registry with :func:`register_strategy`.
+The table is the one place a strategy name exists: :func:`get_strategy`,
+:func:`available_strategies`, the SMT bench suite, the service's admission
+check and the CLI's ``--strategy`` choices all read it.
 """
 
-from repro.core.strategies.base import (
-    SearchContext,
-    SearchLimits,
-    SearchStrategy,
-    available_strategies,
-    get_strategy,
-    register_strategy,
-)
+from repro.core.strategies.base import SearchContext, SearchLimits
 from repro.core.strategies.search import (
     BisectionStrategy,
     LinearStrategy,
@@ -38,15 +30,38 @@ from repro.core.strategies.search import (
 )
 from repro.core.strategies.portfolio import PortfolioStrategy
 
+#: Strategy name -> strategy class (constructed without arguments by
+#: :func:`get_strategy`).  The order is the SMT bench suite's cell order.
+STRATEGIES = {
+    "linear": LinearStrategy,
+    "bisection": BisectionStrategy,
+    "portfolio": PortfolioStrategy,
+}
+
+
+def available_strategies() -> list[str]:
+    """Names of all strategies (sorted)."""
+    return sorted(STRATEGIES)
+
+
+def get_strategy(name: str):
+    """A fresh instance of the strategy named *name*."""
+    try:
+        cls = STRATEGIES[name]
+    except KeyError:
+        known = ", ".join(available_strategies())
+        raise ValueError(f"unknown strategy {name!r} (available: {known})") from None
+    return cls()
+
+
 __all__ = [
     "BisectionStrategy",
     "LinearStrategy",
     "PortfolioStrategy",
+    "STRATEGIES",
     "SearchContext",
     "SearchLimits",
-    "SearchStrategy",
     "available_strategies",
     "get_strategy",
-    "register_strategy",
     "structured_upper_bound",
 ]

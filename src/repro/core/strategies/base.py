@@ -1,46 +1,34 @@
-"""Strategy infrastructure: registry, limits, and the shared search context.
+"""Strategy infrastructure: limits and the shared search context.
 
 A *search strategy* decides which stage horizons to probe, and in what
 order, to find the minimum stage count of a
 :class:`~repro.core.problem.SchedulingProblem`.  Every strategy returns a
 :class:`~repro.core.scheduler.SchedulerReport`; the
 :class:`~repro.core.scheduler.SMTScheduler` facade looks strategies up by
-name in the registry populated by :func:`register_strategy`.
+name in the :data:`repro.core.strategies.STRATEGIES` table.
 
-A search decides its probes through a *context* with three calls —
-``decide(horizon)``, ``extract(horizon, metadata)`` and ``statistics()``:
-
-* :class:`SearchContext` owns the growable
-  :class:`~repro.core.encoding.IncrementalInstance` the SMT-backed
-  strategies share: it lazily (re)builds the instance with capacity
-  headroom, extends it towards larger horizons, and decides smaller
-  horizons on the same instance through assumption literals — so learned
-  clauses persist across SAT *and* UNSAT horizons regardless of the
-  probing order.
-* :class:`ColdStartContext` is the ``incremental=False`` reference path: a
-  fresh :class:`~repro.core.encoding.EncodedInstance` and solver per
-  horizon.
+A search decides its probes through one :class:`SearchContext`, with three
+calls — ``decide(horizon)``, ``extract(horizon, metadata)`` and
+``statistics()``.  The context owns the growable
+:class:`~repro.core.encoding.IncrementalInstance` the SMT-backed strategies
+share: it lazily (re)builds the instance with capacity headroom, extends it
+towards larger horizons, and decides smaller horizons on the same instance
+through assumption literals — so learned clauses persist across SAT *and*
+UNSAT horizons regardless of the probing order.
 """
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 from repro.core.budget import Deadline
-from repro.core.encoding import (
-    EncodedInstance,
-    IncrementalInstance,
-    encode_incremental_problem,
-    encode_problem,
-)
+from repro.core.encoding import IncrementalInstance, encode_incremental_problem
 from repro.core.problem import SchedulingProblem
 from repro.smt import CheckResult
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.schedule import Schedule
-    from repro.core.scheduler import SchedulerReport
 
 #: Extra stage headroom reserved by a fresh incremental instance beyond the
 #: first horizon it is asked to decide.  A small value keeps the up-front
@@ -65,10 +53,6 @@ class SearchLimits:
     max_stages: int = 32
     max_conflicts: Optional[int] = None
     time_limit: Optional[float] = None
-    #: ``False`` re-encodes every horizon from scratch
-    #: (:class:`ColdStartContext`, the seed's cold-start reference
-    #: behaviour); strategies with ``requires_incremental`` refuse it.
-    incremental: bool = True
     #: Registry name of the SAT backend deciding every probe
     #: (:mod:`repro.sat.backend`).  ``None`` selects the default in-process
     #: flat-array core.  Every registered backend is sound and complete, so
@@ -159,50 +143,6 @@ class SearchContext:
         return instance
 
 
-class ColdStartContext:
-    """A fresh cold-start encoding and solver for every probed horizon."""
-
-    def __init__(self, problem: SchedulingProblem, limits: SearchLimits) -> None:
-        self.problem = problem
-        self.limits = limits
-        self._instance: Optional[EncodedInstance] = None
-        # Each probe runs a solver of its own whose retry count starts at
-        # zero; ``backend_retries`` stays a running total over the search
-        # like the incremental solver's.
-        self._retries = 0
-        self._retries_before = 0
-
-    def decide(self, horizon: int) -> CheckResult:
-        """Encode *horizon* stages from scratch and decide them."""
-        self._retries_before = self._retries
-        self._instance = encode_problem(
-            self.problem,
-            horizon,
-            backend=self.limits.sat_backend,
-            backend_retries=self.limits.backend_retries,
-        )
-        return self._instance.check(
-            max_conflicts=self.limits.max_conflicts,
-            time_limit=self.limits.time_limit,
-            deadline=self.limits.deadline,
-        )
-
-    def extract(self, horizon: int, metadata: dict | None = None) -> "Schedule":
-        """Extract the schedule of the last SAT probe (*horizon* stages)."""
-        if self._instance is None:
-            raise RuntimeError("no instance built yet; call decide() first")
-        return self._instance.extract_schedule(metadata=metadata)
-
-    def statistics(self) -> dict[str, float]:
-        """Statistics of the most recent probe, retries summed over all."""
-        if self._instance is None:
-            return {}
-        probe = self._instance.statistics()
-        self._retries = self._retries_before + probe.get("backend_retries", 0)
-        probe["backend_retries"] = self._retries
-        return probe
-
-
 def accumulate_statistics(
     total: dict[str, float], probe: dict[str, float]
 ) -> dict[str, float]:
@@ -231,57 +171,3 @@ def accumulate_statistics(
         counter = merged.get(rate[: -len("_per_second")], 0)
         merged[rate] = counter / solve_seconds if solve_seconds > 0 else 0.0
     return merged
-
-
-class SearchStrategy(ABC):
-    """Interface every registered search strategy implements."""
-
-    #: Registry key; set by subclasses.
-    name: str = ""
-    #: Whether the strategy needs ``limits.incremental`` (checked eagerly by
-    #: the scheduler constructor so bad configurations fail fast).
-    requires_incremental: bool = False
-
-    def check_limits(self, limits: SearchLimits) -> None:
-        """Raise ``ValueError`` when this strategy cannot honour *limits*."""
-        if self.requires_incremental and not limits.incremental:
-            raise ValueError(
-                f"the {self.name!r} strategy requires an incremental scheduler"
-            )
-
-    @abstractmethod
-    def run(
-        self,
-        problem: SchedulingProblem,
-        limits: SearchLimits,
-        metadata: dict | None = None,
-    ) -> "SchedulerReport":
-        """Search for a minimum-stage schedule of *problem*."""
-
-
-_REGISTRY: dict[str, type[SearchStrategy]] = {}
-
-
-def register_strategy(cls: type[SearchStrategy]) -> type[SearchStrategy]:
-    """Class decorator adding a strategy to the registry (keyed by ``name``)."""
-    if not cls.name:
-        raise ValueError(f"strategy {cls.__name__} needs a non-empty name")
-    if cls.name in _REGISTRY:
-        raise ValueError(f"strategy name {cls.name!r} already registered")
-    _REGISTRY[cls.name] = cls
-    return cls
-
-
-def available_strategies() -> list[str]:
-    """Names of all registered strategies (sorted)."""
-    return sorted(_REGISTRY)
-
-
-def get_strategy(name: str) -> SearchStrategy:
-    """Instantiate the strategy registered under *name*."""
-    try:
-        cls = _REGISTRY[name]
-    except KeyError:
-        known = ", ".join(available_strategies())
-        raise ValueError(f"unknown strategy {name!r} (available: {known})") from None
-    return cls()

@@ -32,11 +32,7 @@ from repro.core.report import (
     TERMINATION_DEADLINE,
     SchedulerReport,
 )
-from repro.core.strategies.base import (
-    SearchLimits,
-    SearchStrategy,
-    register_strategy,
-)
+from repro.core.strategies.base import SearchLimits
 from repro.core.strategies.search import (
     BisectionStrategy,
     analytic_report,
@@ -84,12 +80,10 @@ def run_portfolio_config(task: tuple) -> SchedulerReport:
     return strategy.run(problem, limits, metadata)
 
 
-@register_strategy
-class PortfolioStrategy(SearchStrategy):
+class PortfolioStrategy:
     """Race heterogeneous solver configurations; first certificate wins."""
 
     name = "portfolio"
-    requires_incremental = True
 
     def __init__(
         self,
@@ -106,7 +100,6 @@ class PortfolioStrategy(SearchStrategy):
         metadata: dict | None = None,
     ) -> SchedulerReport:
         start = time.monotonic()
-        self.check_limits(limits)
         # The schedule must advertise the portfolio whichever configuration
         # produces it (the winning configuration is recorded separately).
         metadata = {**(metadata or {}), "strategy": self.name}

@@ -29,9 +29,7 @@ search was cut short bounds the optimum from above as ``sat-probe``).
 Probes run against one incremental instance
 (:class:`~repro.core.strategies.base.SearchContext`) via per-horizon
 assumption literals, so CDCL learned clauses persist across the whole
-search; ``limits.incremental=False`` (linear only) decides every horizon
-on a fresh cold-start encoding instead
-(:class:`~repro.core.strategies.base.ColdStartContext`).
+search.
 """
 
 from __future__ import annotations
@@ -49,12 +47,9 @@ from repro.core.report import (
 )
 from repro.core.schedule import Schedule
 from repro.core.strategies.base import (
-    ColdStartContext,
     SearchContext,
     SearchLimits,
-    SearchStrategy,
     accumulate_statistics,
-    register_strategy,
 )
 from repro.core.structured import StructuredScheduler
 from repro.core.validator import ValidationError, validate_schedule
@@ -65,8 +60,7 @@ from repro.smt import CheckResult
 UNSAT_PROBE_SOURCE = "unsat-probes"
 
 
-@register_strategy
-class LinearStrategy(SearchStrategy):
+class LinearStrategy:
     """Try S = lower bound, lower bound + 1, ... until SAT."""
 
     name = "linear"
@@ -80,8 +74,7 @@ class LinearStrategy(SearchStrategy):
         return search(problem, limits, metadata, name=self.name, pick=_lowest)
 
 
-@register_strategy
-class BisectionStrategy(SearchStrategy):
+class BisectionStrategy:
     """Binary search on S between the analytic LB and the structured UB.
 
     An already-computed (and validated) structured *witness* can be injected
@@ -90,7 +83,6 @@ class BisectionStrategy(SearchStrategy):
     """
 
     name = "bisection"
-    requires_incremental = True
 
     def __init__(self, witness: Optional[Schedule] = None) -> None:
         self._witness = witness
@@ -101,7 +93,6 @@ class BisectionStrategy(SearchStrategy):
         limits: SearchLimits,
         metadata: dict | None = None,
     ) -> SchedulerReport:
-        self.check_limits(limits)
         return search(
             problem,
             limits,
@@ -163,14 +154,11 @@ def search(
     # stage budget or a probe came back SAT; ``high`` is then never probed.
     in_hand = bound is not None and bound.num_stages <= limits.max_stages
     high = bound.num_stages if in_hand else limits.max_stages
-    if not limits.incremental:
-        context = ColdStartContext(problem, limits)
-    else:
-        # With a witness in hand the largest horizon ever probed is
-        # ``high - 1``, so the capacity is known exactly and no
-        # headroom/rebuild cycle is needed.
-        capacity = max(high - 1, 1) if in_hand else None
-        context = SearchContext(problem, limits, capacity=capacity)
+    # With a witness in hand the largest horizon ever probed is
+    # ``high - 1``, so the capacity is known exactly and no
+    # headroom/rebuild cycle is needed.
+    capacity = max(high - 1, 1) if in_hand else None
+    context = SearchContext(problem, limits, capacity=capacity)
 
     # The search cursor ``low`` advances past UNSAT *and* UNKNOWN horizons
     # (an undecided horizon may hide the optimum, so the search continues

@@ -62,6 +62,7 @@ from dataclasses import asdict, dataclass, field
 from typing import Optional, Sequence
 
 from repro.core.budget import DeadlineExceeded
+from repro.core.strategies import STRATEGIES
 from repro.evaluation.executor import TASK_CRASHED, TASK_OK, WorkerPool
 from repro.evaluation.journal import (
     BenchJournal,
@@ -94,11 +95,10 @@ SMT_LAYOUT_KINDS = ("none", "bottom", "none-shielded")
 #: storage-less layout.
 AIRBORNE_SMOKE_INSTANCES = ("single-gate", "disjoint-pairs", "ring-4")
 
-#: Search strategies fanned out by the SMT suite.  ``coldstart`` is the
-#: linear strategy with ``incremental=False`` (the seed's reference path);
-#: the other names match the :mod:`repro.core.strategies` registry
+#: Search strategies fanned out by the SMT suite: every name of the
+#: :data:`repro.core.strategies.STRATEGIES` table, in its order
 #: (``portfolio`` races the single strategies across worker processes).
-SMT_STRATEGIES = ("linear", "coldstart", "bisection", "portfolio")
+SMT_STRATEGIES = tuple(STRATEGIES)
 
 REDUCED_LAYOUT_KWARGS = {"x_max": 2, "h_max": 1, "v_max": 1, "c_max": 2, "r_max": 2}
 
@@ -434,9 +434,8 @@ def solve_job(spec: dict) -> dict:
     (:mod:`repro.service.server`) both run it, so they answer with the same
     payload.  *spec* carries the request document under ``"problem"``
     (:func:`~repro.core.problem.problem_from_document`), the ``strategy``
-    (``coldstart`` is ``linear`` with ``incremental=False``), and optional
-    ``sat_backend``, per-probe ``time_limit``, whole-search ``deadline``
-    (seconds, started here, or an already-ticking
+    name, and optional ``sat_backend``, per-probe ``time_limit``,
+    whole-search ``deadline`` (seconds, started here, or an already-ticking
     :class:`~repro.core.budget.Deadline`) and ``chaos_spec`` (a per-job
     fault plan for ``chaos:`` backends).  A bench cell's ``layout`` and
     ``instance`` labels are echoed into the payload.  The schedule is
@@ -455,8 +454,7 @@ def solve_job(spec: dict) -> dict:
     try:
         scheduler = SMTScheduler(
             time_limit_per_instance=spec.get("time_limit"),
-            strategy="linear" if strategy == "coldstart" else strategy,
-            incremental=strategy != "coldstart",
+            strategy=strategy,
             sat_backend=spec.get("sat_backend"),
         )
         report = scheduler.schedule(problem, deadline=spec.get("deadline"))

@@ -11,11 +11,9 @@ reproducible :class:`FaultPlan` —
 * **delays**, exercising deadline slicing;
 * **crash-after-N-solves** (:class:`~repro.sat.errors.PermanentBackendError`),
   exercising the ``termination="backend-error"`` degradation.  The count
-  is per backend *instance*: the cold-start search path
-  (``incremental=False``) builds a fresh solver, and so a fresh chaos
-  backend, for every probe, so ``crash-after=N`` with ``N >= 1`` never
-  fires there — a test that wants a cold search to crash mid-way must count
-  solves over the whole search itself.
+  is per backend *instance*; a search decides all its probes on one
+  incremental solver, so it counts the solves of the whole search (a
+  capacity rebuild of the search's instance starts a fresh count).
 
 Because faults fire *before* the inner backend is touched, the inner clause
 database stays intact across injected transients — exactly the contract a
@@ -67,8 +65,7 @@ class FaultPlan:
     #: Sleep injected before every solve (exercises deadline slicing).
     delay_seconds: float = 0.0
     #: After this many solves every further solve fails permanently.
-    #: Counted per backend instance, so it never fires on the cold-start
-    #: path, which builds one backend per probe (see the module docstring).
+    #: Counted per backend instance (see the module docstring).
     crash_after_solves: Optional[int] = None
 
     @classmethod

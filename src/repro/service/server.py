@@ -10,7 +10,9 @@ Endpoints
     Submit a scheduling problem (JSON body, see
     :func:`repro.core.problem.problem_from_document`).  The response is an
     **anytime stream** of chunked JSON lines (``Transfer-Encoding: chunked``,
-    ``application/x-ndjson``), one event object per line, in order:
+    ``application/x-ndjson``), one event object per line, in order (an
+    HTTP/1.0 client, which cannot read chunks, gets the same lines as a
+    body that ends when the server closes the connection):
 
     1. ``{"event": "accepted", ...}`` — request id, canonical key, cache
        hit/miss, queue depth;
@@ -49,13 +51,14 @@ carries any number of requests in turn, each response delimited by its
 
 * after answering a request that says ``Connection: close``, or an
   HTTP/1.0 request that does not ask for ``keep-alive``;
+* after the event stream of an HTTP/1.0 ``POST /v1/schedule``;
 * after answering a malformed request whose body it did not read with a
   ``400``;
 * when the client closes or resets it;
 * when it has waited :data:`IDLE_TIMEOUT_S` seconds for its next request;
 * at shutdown (:meth:`ServiceServer.aclose`).
 
-The responses of the first two cases say ``Connection: close``.  A miss
+The responses of the first three cases say ``Connection: close``.  A miss
 holds its connection until its result event has been sent.
 
 Architecture: requests land on the asyncio event loop, which performs
@@ -164,10 +167,11 @@ _CACHEABLE_KEYS = (
 def check_solver_fields(doc: dict, default_strategy: str) -> None:
     """Reject a request whose solver fields no worker could honour.
 
-    ``strategy`` (``null`` selects *default_strategy*) must name a
-    registered search strategy and ``sat_backend`` a registered SAT backend
-    (``chaos:BACKEND`` included, which inherits BACKEND's availability)
-    that is available on this host; ``time_limit`` and ``deadline`` must be
+    ``strategy`` (``null`` selects *default_strategy*) must name a search
+    strategy of :data:`repro.core.strategies.STRATEGIES` (the table the
+    CLI's ``--strategy`` choices read) and ``sat_backend`` a registered SAT
+    backend (``chaos:BACKEND`` included, which inherits BACKEND's
+    availability) that is available on this host; ``time_limit`` and ``deadline`` must be
     ``null`` or finite non-negative numbers.  Raises ``ValueError``, which
     the server answers with ``400`` before the request takes a queue slot.
     """
@@ -307,8 +311,12 @@ class SchedulingService:
     # ------------------------------------------------------------------ #
     # Lifecycle
     # ------------------------------------------------------------------ #
-    def close(self) -> None:
-        """Fail every waiting and in-flight job, then stop the pool."""
+    def stop(self) -> None:
+        """Fail every waiting and in-flight job, then stop the pool.
+
+        The ledger and the cache stay open: the handler of a job failed
+        here still records its verdict.  :meth:`close` closes them.
+        """
         if self._closed:
             return
         self._closed = True
@@ -319,6 +327,14 @@ class SchedulingService:
         for job in drained:
             _fail_shutting_down(job)
         self._pool.shutdown()
+
+    def close(self) -> None:
+        """:meth:`stop`, then close the ledger and the cache.
+
+        Behind a server, call it only once the server's handlers have
+        finished (:meth:`RunningService.aclose`).
+        """
+        self.stop()
         if self.ledger is not None:
             self.ledger.close()
         self.cache.close()
@@ -449,12 +465,14 @@ class _BadRequest(Exception):
 
 async def _read_request(
     reader: asyncio.StreamReader,
-) -> Optional[tuple[str, str, bool, bytes]]:
-    """Read one request: ``(method, target, keep_alive, body)``.
+) -> Optional[tuple[str, str, bool, bool, bytes]]:
+    """Read one request: ``(method, target, chunked, keep_alive, body)``.
 
     None when the client closed the connection before a request line.
-    ``keep_alive`` is HTTP/1.1's default unless the request says
-    ``Connection: close``; HTTP/1.0 must ask for ``keep-alive``.
+    ``chunked`` says whether the client can read a chunked response, which
+    only HTTP/1.1 defines.  ``keep_alive`` is HTTP/1.1's default unless
+    the request says ``Connection: close``; HTTP/1.0 must ask for
+    ``keep-alive``.
     """
     request_line = await reader.readline()
     if not request_line:
@@ -483,11 +501,12 @@ async def _read_request(
         raise _BadRequest("request body too large")
     body = await reader.readexactly(length) if length else b""
     tokens = {t.strip().lower() for t in headers.get("connection", "").split(",")}
-    if version == "HTTP/1.1":
+    chunked = version == "HTTP/1.1"
+    if chunked:
         keep_alive = "close" not in tokens
     else:
         keep_alive = "keep-alive" in tokens
-    return method, target, keep_alive, body
+    return method, target, chunked, keep_alive, body
 
 
 def _connection_header(keep_alive: bool) -> str:
@@ -509,42 +528,46 @@ async def _send_json(
     await writer.drain()
 
 
-def _stream_head(keep_alive: bool) -> bytes:
-    """Status line and headers of a chunked ndjson response."""
+def _stream_head(chunked: bool, keep_alive: bool) -> bytes:
+    """Status line and headers of an ndjson event stream.
+
+    Without chunking (an HTTP/1.0 client) the body ends when the
+    connection closes, so the stream always says ``Connection: close``.
+    """
+    framing = "Transfer-Encoding: chunked\r\n" if chunked else ""
     return (
         "HTTP/1.1 200 OK\r\n"
         "Content-Type: application/x-ndjson\r\n"
-        "Transfer-Encoding: chunked\r\n"
-        f"{_connection_header(keep_alive)}"
+        f"{framing}"
+        f"{_connection_header(keep_alive and chunked)}"
         "\r\n"
     ).encode("latin-1")
 
 
-def _chunk(event: dict) -> bytes:
-    """One event as one chunk holding one JSON line."""
+def _event(event: dict, chunked: bool) -> bytes:
+    """One event as one JSON line, in a chunk of its own when *chunked*."""
     line = (json.dumps(event, sort_keys=True) + "\n").encode("utf-8")
+    if not chunked:
+        return line
     return f"{len(line):x}\r\n".encode("latin-1") + line + b"\r\n"
 
 
 #: Terminator of a chunked response; it delimits each stream on a
-#: persistent connection.
+#: persistent connection.  An unchunked stream ends with its connection.
 _LAST_CHUNK = b"0\r\n\r\n"
 
 
-def _start_stream(writer: asyncio.StreamWriter, keep_alive: bool) -> Callable:
-    """Open a chunked ndjson response; returns ``send(event)``."""
-    writer.write(_stream_head(keep_alive))
+def _start_stream(
+    writer: asyncio.StreamWriter, chunked: bool, keep_alive: bool
+) -> Callable:
+    """Open an ndjson event stream; returns ``send(event)``."""
+    writer.write(_stream_head(chunked, keep_alive))
 
     async def send(event: dict) -> None:
-        writer.write(_chunk(event))
+        writer.write(_event(event, chunked))
         await writer.drain()
 
     return send
-
-
-async def _end_stream(writer: asyncio.StreamWriter) -> None:
-    writer.write(_LAST_CHUNK)
-    await writer.drain()
 
 
 class ServiceServer:
@@ -585,7 +608,7 @@ class ServiceServer:
 
         Idle connections close at once, busy ones after their current
         response, so a pending miss holds this until the service answers
-        it (:meth:`RunningService.aclose` closes the service first, which
+        it (:meth:`RunningService.aclose` stops the service first, which
         answers every pending miss).  An idle connection left open would
         hold it for :data:`IDLE_TIMEOUT_S`, and so would it hold
         ``Server.wait_closed``, which waits for every open connection on
@@ -629,8 +652,10 @@ class ServiceServer:
                     self._idle.discard(writer)
                 if request is None:
                     return
-                method, target, keep_alive, body = request
-                await self._route(method, target, body, writer, keep_alive)
+                method, target, chunked, keep_alive, body = request
+                keep_alive = await self._route(
+                    method, target, body, writer, chunked, keep_alive
+                )
         except (ConnectionResetError, BrokenPipeError):
             pass  # client went away mid-response
         finally:
@@ -647,23 +672,32 @@ class ServiceServer:
         target: str,
         body: bytes,
         writer: asyncio.StreamWriter,
+        chunked: bool,
         keep_alive: bool,
-    ) -> None:
+    ) -> bool:
+        """Answer one request; returns whether the connection stays open."""
         if target == "/v1/schedule":
             if method != "POST":
                 await _send_json(writer, 405, {"error": "POST required"}, keep_alive)
             else:
-                await self._handle_schedule(body, writer, keep_alive)
+                return await self._handle_schedule(body, writer, chunked, keep_alive)
         elif target == "/v1/healthz":
             await _send_json(writer, 200, self.service.health(), keep_alive)
         elif target == "/v1/stats":
             await _send_json(writer, 200, self.service.stats(), keep_alive)
         else:
             await _send_json(writer, 404, {"error": f"no route {target}"}, keep_alive)
+        return keep_alive
 
     async def _handle_schedule(
-        self, body: bytes, writer: asyncio.StreamWriter, keep_alive: bool
-    ) -> None:
+        self,
+        body: bytes,
+        writer: asyncio.StreamWriter,
+        chunked: bool,
+        keep_alive: bool,
+    ) -> bool:
+        """Answer ``POST /v1/schedule``; returns whether the connection
+        stays open (an unchunked event stream ends with it)."""
         service = self.service
         try:
             doc = json.loads(body.decode("utf-8"))
@@ -678,7 +712,7 @@ class ServiceServer:
             await _send_json(
                 writer, 400, {"error": f"{type(exc).__name__}: {exc}"}, keep_alive
             )
-            return
+            return keep_alive
 
         request_id = service.next_request_id()
         service.counters["requests_total"] += 1
@@ -689,9 +723,9 @@ class ServiceServer:
         if cached_entry is not None:
             service.counters["cache_hits"] += 1
             await self._serve_cache_hit(
-                writer, keep_alive, request_id, key, cached_entry, received
+                writer, chunked, keep_alive, request_id, key, cached_entry, received
             )
-            return
+            return keep_alive and chunked
         service.counters["cache_misses"] += 1
 
         spec = {
@@ -727,11 +761,11 @@ class ServiceServer:
                 },
                 keep_alive,
             )
-            return
+            return keep_alive
 
         if service.ledger is not None:
             service.ledger.record_request(request_id)
-        send = _start_stream(writer, keep_alive)
+        send = _start_stream(writer, chunked, keep_alive)
         await send(
             {
                 "event": "accepted",
@@ -762,12 +796,16 @@ class ServiceServer:
                 key, {k: result[k] for k in _CACHEABLE_KEYS if k in result}
             )
         await send(result)
-        await _end_stream(writer)
+        if chunked:
+            writer.write(_LAST_CHUNK)
+            await writer.drain()
         self._finish_ledger(request_id, key, result, received)
+        return keep_alive and chunked
 
     async def _serve_cache_hit(
         self,
         writer: asyncio.StreamWriter,
+        chunked: bool,
         keep_alive: bool,
         request_id: str,
         key: str,
@@ -795,7 +833,10 @@ class ServiceServer:
             **entry,
         }
         writer.write(
-            _stream_head(keep_alive) + _chunk(accepted) + _chunk(result) + _LAST_CHUNK
+            _stream_head(chunked, keep_alive)
+            + _event(accepted, chunked)
+            + _event(result, chunked)
+            + (_LAST_CHUNK if chunked else b"")
         )
         await writer.drain()
         service.counters["results_ok"] += 1
@@ -918,11 +959,14 @@ class RunningService:
         """Close the service, the server and this process's pooled client
         connections to it.
 
-        The service closes first: it ends every pending miss with a
+        The service stops first: it ends every pending miss with a
         ``backend-error`` result, so no busy connection holds the server.
+        Its ledger and cache close last, once every handler has recorded
+        its verdict.
         """
-        self.service.close()
+        self.service.stop()
         await self.server.aclose()
+        self.service.close()
         close_idle_connections(self.host, self.port)
 
 

@@ -94,16 +94,13 @@ def test_search_context_builds_instances_on_the_requested_backend():
     assert context.instance.solver.backend == "reference"
 
 
-@pytest.mark.parametrize("strategy", ["linear", "coldstart", "bisection"])
+@pytest.mark.parametrize("strategy", ["linear", "bisection"])
 def test_reference_backend_certifies_identical_optima(strategy):
     problem = reduced_problem("bottom", "chain-2")
-    # ``coldstart`` is the linear search re-encoding every horizon.
-    options = dict(
-        strategy="linear" if strategy == "coldstart" else strategy,
-        incremental=strategy != "coldstart",
-    )
-    flat = SMTScheduler(**options).schedule(problem)
-    reference = SMTScheduler(**options, sat_backend="reference").schedule(problem)
+    flat = SMTScheduler(strategy=strategy).schedule(problem)
+    reference = SMTScheduler(
+        strategy=strategy, sat_backend="reference"
+    ).schedule(problem)
     assert flat.sat_backend == "flat"
     assert reference.sat_backend == "reference"
     for report in (flat, reference):

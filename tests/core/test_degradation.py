@@ -37,12 +37,10 @@ from repro.core.validator import validate_schedule
 from repro.sat.chaos import ChaosBackend
 from repro.sat.solver import SolveResult
 
-#: Every scheduler configuration under test: the registered strategies
-#: plus ``coldstart``, the linear strategy with ``incremental=False`` (a
-#: fresh encoding and solver per horizon).
-STRATEGIES = ("linear", "coldstart", "bisection", "portfolio")
-#: The configurations that run one search in-process (no portfolio race).
-SINGLE_SEARCHES = ("linear", "coldstart", "bisection")
+#: Every search strategy under test.
+STRATEGIES = ("linear", "bisection", "portfolio")
+#: The strategies that run one search in-process (no portfolio race).
+SINGLE_SEARCHES = ("linear", "bisection")
 
 #: The certified optimum of the triangle on the reduced bottom layout.
 TRIANGLE_OPTIMUM = 5
@@ -51,13 +49,6 @@ TRIANGLE_OPTIMUM = 5
 def triangle_problem():
     layout = reduced_layout("bottom", x_max=2, h_max=1, v_max=1, c_max=2, r_max=2)
     return SchedulingProblem.from_gates(layout, 3, [(0, 1), (1, 2), (0, 2)])
-
-
-def make_scheduler(strategy, **kwargs):
-    """The :class:`SMTScheduler` running configuration *strategy*."""
-    if strategy == "coldstart":
-        return SMTScheduler(strategy="linear", incremental=False, **kwargs)
-    return SMTScheduler(strategy=strategy, **kwargs)
 
 
 def assert_sound(report, problem):
@@ -80,7 +71,7 @@ def test_expired_deadline_degrades_every_strategy_to_a_witness(strategy):
     ``termination="deadline"`` with a valid fallback schedule and a sound
     interval — never an exception, never a lost witness."""
     problem = triangle_problem()
-    report = make_scheduler(strategy, deadline=0.0).schedule(problem)
+    report = SMTScheduler(strategy=strategy, deadline=0.0).schedule(problem)
     assert report.termination == TERMINATION_DEADLINE
     assert not report.optimal
     assert report.found  # the structured witness survives as the schedule
@@ -91,7 +82,7 @@ def test_expired_deadline_degrades_every_strategy_to_a_witness(strategy):
 @pytest.mark.parametrize("strategy", STRATEGIES)
 def test_generous_deadline_still_certifies(strategy):
     problem = triangle_problem()
-    report = make_scheduler(strategy, deadline=300.0).schedule(problem)
+    report = SMTScheduler(strategy=strategy, deadline=300.0).schedule(problem)
     assert report.termination == TERMINATION_CERTIFIED
     assert report.optimal
     assert report.schedule.num_stages == TRIANGLE_OPTIMUM
@@ -152,26 +143,14 @@ def test_transient_only_faults_certify_the_fault_free_optimum(
     retries it burned."""
     monkeypatch.setenv("REPRO_CHAOS_SPEC", "seed=7,transient=1.0,consecutive=1")
     problem = triangle_problem()
-    report = make_scheduler(strategy, sat_backend="chaos:flat").schedule(problem)
-    baseline = make_scheduler(strategy, sat_backend="flat").schedule(
+    report = SMTScheduler(strategy=strategy, sat_backend="chaos:flat").schedule(problem)
+    baseline = SMTScheduler(strategy=strategy, sat_backend="flat").schedule(
         triangle_problem()
     )
     assert report.termination == TERMINATION_CERTIFIED
     assert report.optimal
     assert report.schedule.num_stages == baseline.schedule.num_stages
     assert report.statistics["backend_retries"] > 0
-
-
-def test_cold_start_retries_add_up_over_probes(monkeypatch):
-    """Every cold-start probe runs a solver of its own; the report still
-    counts the retries of all of them (one transient fault per solve)."""
-    monkeypatch.setenv("REPRO_CHAOS_SPEC", "seed=7,transient=1.0,consecutive=1")
-    report = SMTScheduler(
-        strategy="linear", incremental=False, sat_backend="chaos:flat"
-    ).schedule(triangle_problem())
-    assert report.termination == TERMINATION_CERTIFIED
-    assert report.num_horizons > 1
-    assert report.statistics["backend_retries"] == report.num_horizons
 
 
 def test_retry_exhaustion_degrades_with_the_analytic_interval(monkeypatch):
@@ -200,28 +179,12 @@ def test_permanent_crash_mid_search_keeps_completed_probe_bounds(
     ``backend-error`` — and the horizons decided *before* the crash still
     tighten the reported interval."""
     monkeypatch.setenv("REPRO_CHAOS_SPEC", "crash-after=1")
-    if strategy == "coldstart":
-        # Every cold probe runs a backend of its own, whose solve count
-        # starts at zero, so a per-backend count never reaches the crash.
-        # Count the solves of the whole search instead: the backend then
-        # dies on the second probe, after the first one decided a horizon.
-        solves = itertools.count()
-        solve = ChaosBackend.solve
-
-        def solve_counted_per_search(self, *args, **kwargs):
-            self._solves = next(solves)
-            return solve(self, *args, **kwargs)
-
-        monkeypatch.setattr(ChaosBackend, "solve", solve_counted_per_search)
     problem = triangle_problem()
-    report = make_scheduler(strategy, sat_backend="chaos:flat").schedule(problem)
+    report = SMTScheduler(strategy=strategy, sat_backend="chaos:flat").schedule(problem)
     assert report.termination == TERMINATION_BACKEND_ERROR
     assert not report.optimal
     assert report.found
     assert_sound(report, problem)
-    if strategy == "coldstart":
-        # The refuted first probe (the analytic bound 4) still lifts it.
-        assert report.lower_bound == TRIANGLE_OPTIMUM
 
 
 def test_linear_crash_after_unsat_probe_lifts_the_lower_bound(monkeypatch):
@@ -250,7 +213,7 @@ def test_unknown_probes_never_lift_the_lower_bound(strategy, monkeypatch):
     claim infeasibility or optimality."""
     monkeypatch.setenv("REPRO_CHAOS_SPEC", "unknown=1.0")
     problem = triangle_problem()
-    report = make_scheduler(strategy, sat_backend="chaos:flat").schedule(problem)
+    report = SMTScheduler(strategy=strategy, sat_backend="chaos:flat").schedule(problem)
     assert report.termination == TERMINATION_DEADLINE  # degraded, not refuted
     assert report.termination != TERMINATION_INFEASIBLE
     assert not report.optimal
@@ -264,7 +227,6 @@ def test_unknown_probes_never_lift_the_lower_bound(strategy, monkeypatch):
 #: optimum 5; bisection halves [4, 7] (the witness's 7) at 5, then at 6.
 UNKNOWN_FIRST_PROBES = {
     "linear": [4, 5],
-    "coldstart": [4, 5],
     "bisection": [5, 6],
 }
 
@@ -276,8 +238,7 @@ def test_sat_model_after_an_unknown_probe_bounds_from_above(strategy, monkeypatc
     model as its schedule and its stage count as a ``sat-probe`` upper
     bound, while the UNKNOWN probe lifts nothing."""
     monkeypatch.setenv("REPRO_CHAOS_SPEC", "seed=0")
-    # Count solves over the whole search (the cold path builds a backend
-    # per probe): the first one is undecided, the rest run for real.
+    # The search's first solve is undecided, the rest run for real.
     solves = itertools.count()
     solve = ChaosBackend.solve
 
@@ -288,7 +249,7 @@ def test_sat_model_after_an_unknown_probe_bounds_from_above(strategy, monkeypatc
 
     monkeypatch.setattr(ChaosBackend, "solve", first_solve_unknown)
     problem = triangle_problem()
-    report = make_scheduler(strategy, sat_backend="chaos:flat").schedule(problem)
+    report = SMTScheduler(strategy=strategy, sat_backend="chaos:flat").schedule(problem)
     assert report.stages_tried == UNKNOWN_FIRST_PROBES[strategy]
     assert report.termination == TERMINATION_DEADLINE
     assert not report.optimal

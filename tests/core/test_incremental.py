@@ -1,14 +1,16 @@
 """Tests for the incremental minimum-stage search.
 
-The assumption-guarded stage extension must return the same minimal stage
-count — and validator-clean schedules — as the cold-start path on every
-instance, while reusing one SAT solver across the whole search.
+The assumption-guarded stage extension must certify the minimal stage
+count that fresh one-shot encodings (:func:`repro.core.encoding.encode_problem`)
+confirm — SAT at the optimum, UNSAT one stage below — and validator-clean
+schedules on every instance, while reusing one SAT solver across the whole
+search.
 """
 
 import pytest
 
 from repro.arch import reduced_layout
-from repro.core.encoding import encode_incremental_instance
+from repro.core.encoding import encode_incremental_instance, encode_problem
 from repro.core.problem import SchedulingProblem
 from repro.core.scheduler import SMTScheduler
 from repro.core.validator import validate_schedule
@@ -38,32 +40,33 @@ INSTANCES = {**SMT_INSTANCES, "steane-sub": steane_subinstance()}
 
 
 # --------------------------------------------------------------------------- #
-# Agreement with the cold-start path
+# Agreement with fresh one-shot encodings (the reference oracle)
 # --------------------------------------------------------------------------- #
 @pytest.mark.parametrize("layout_kind", ["none", "bottom"])
 @pytest.mark.parametrize("instance_name", list(INSTANCES))
 def test_incremental_matches_coldstart(layout_kind, instance_name):
+    """The search's certified optimum S* is SAT on a fresh encoding of S*
+    stages and UNSAT on one of S* - 1 (checked unless the analytic lower
+    bound already excludes S* - 1)."""
     num_qubits, gates = INSTANCES[instance_name]
     problem = SchedulingProblem.from_gates(tiny_layout(layout_kind), num_qubits, gates)
-    results = {}
-    for incremental in (True, False):
-        scheduler = SMTScheduler(
-            time_limit_per_instance=300, incremental=incremental
-        )
-        report = scheduler.schedule(problem)
-        assert report.found and report.optimal
-        validate_schedule(report.schedule, require_shielding=problem.shielding)
-        results[incremental] = report
-    assert results[True].schedule.num_stages == results[False].schedule.num_stages
-    assert results[True].stages_tried == results[False].stages_tried
-    assert (
-        results[True].schedule.num_rydberg_stages
-        == results[False].schedule.num_rydberg_stages
+    report = SMTScheduler(time_limit_per_instance=300).schedule(problem)
+    assert report.found and report.optimal
+    validate_schedule(report.schedule, require_shielding=problem.shielding)
+    optimum = report.schedule.num_stages
+
+    at_optimum = encode_problem(problem, optimum)
+    assert at_optimum.check(time_limit=300) is CheckResult.SAT
+    validate_schedule(
+        at_optimum.extract_schedule(), require_shielding=problem.shielding
     )
+    if optimum - 1 >= problem.lower_bound():
+        below = encode_problem(problem, optimum - 1)
+        assert below.check(time_limit=300) is CheckResult.UNSAT
 
 
 def test_incremental_scheduler_respects_max_stages():
-    scheduler = SMTScheduler(max_stages=1, incremental=True)
+    scheduler = SMTScheduler(max_stages=1)
     report = scheduler.schedule(
         SchedulingProblem.from_gates(tiny_layout("bottom"), 3, [(0, 1), (1, 2)])
     )
@@ -185,7 +188,7 @@ def test_incremental_solver_rejects_push_pop():
         solver.pop()
 
 
-def test_coldstart_solver_supports_assumptions_too():
+def test_non_incremental_solver_supports_assumptions_too():
     solver = Solver()
     a = solver.bool_var("a")
     b = solver.bool_var("b")

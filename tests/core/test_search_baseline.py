@@ -1,9 +1,9 @@
 """Pin the deterministic smoke search to the committed bench baseline.
 
 ``benchmarks/baselines/BENCH_BASELINE.json`` records, for the 13 smoke
-cells under each deterministic search (``linear``, ``coldstart`` and
-``bisection``), every horizon probed and the certified interval with its
-provenance.  Running the same 39 cells serially through the bench
+cells under each deterministic search (``linear`` and ``bisection``),
+every horizon probed and the certified interval with its provenance.
+Running the same 26 cells serially through the bench
 runner's :func:`~repro.evaluation.runner.execute_spec` must reproduce
 those fields exactly: any change to the search loop, the horizon orders,
 the bounds engine or the structured witness that moves a probe or a bound
@@ -46,13 +46,13 @@ BASELINE_PAYLOADS = _baseline_payloads()
 CELLS = {
     instance.name: instance.spec
     for instance in build_suite(
-        "smt", strategies=("linear", "coldstart", "bisection"), time_limit=120.0
+        "smt", strategies=("linear", "bisection"), time_limit=120.0
     )
 }
 
 
 def test_baseline_covers_the_deterministic_smoke_matrix():
-    assert len(CELLS) == 39
+    assert len(CELLS) == 26
     assert sorted(BASELINE_PAYLOADS) == sorted(CELLS)
 
 

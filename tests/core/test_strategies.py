@@ -1,6 +1,6 @@
-"""Tests for the pluggable minimum-stage search strategies.
+"""Tests for the minimum-stage search strategies.
 
-Covers the registry, the agreement of linear/bisection on the certified
+Covers the strategy table, the agreement of linear/bisection on the certified
 optimum across sub-instances of every registered code, the soundness of the
 analytic lower bound against certified optima, and the portfolio race.
 """
@@ -8,17 +8,14 @@ analytic lower bound against certified optima, and the portfolio race.
 import pytest
 
 from repro.arch import reduced_layout
-from repro.core.encoding import EncodedInstance
 from repro.core.problem import SchedulingProblem
 from repro.core.scheduler import SMTScheduler
 from repro.core.strategies import (
     PortfolioStrategy,
     SearchContext,
     SearchLimits,
-    SearchStrategy,
     available_strategies,
     get_strategy,
-    register_strategy,
 )
 from repro.core.strategies.base import accumulate_statistics
 from repro.core.strategies.portfolio import DEFAULT_CONFIGS as PORTFOLIO_CONFIGS
@@ -56,7 +53,7 @@ def code_subproblem(code_name, kind="bottom", max_qubits=4):
 
 
 # --------------------------------------------------------------------------- #
-# Registry
+# Strategy table
 # --------------------------------------------------------------------------- #
 def test_registry_lists_builtin_strategies():
     assert available_strategies() == ["bisection", "linear", "portfolio"]
@@ -67,38 +64,6 @@ def test_unknown_strategy_rejected():
         get_strategy("simulated-annealing")
     with pytest.raises(ValueError):
         SMTScheduler(strategy="simulated-annealing")
-
-
-def test_register_strategy_requires_name_and_uniqueness():
-    with pytest.raises(ValueError):
-
-        @register_strategy
-        class Nameless(SearchStrategy):
-            name = ""
-
-            def run(self, problem, limits, metadata=None):  # pragma: no cover
-                raise NotImplementedError
-
-    with pytest.raises(ValueError):
-
-        @register_strategy
-        class Duplicate(SearchStrategy):
-            name = "linear"
-
-            def run(self, problem, limits, metadata=None):  # pragma: no cover
-                raise NotImplementedError
-
-
-def test_bisection_requires_incremental_solving():
-    strategy = get_strategy("bisection")
-    with pytest.raises(ValueError):
-        strategy.run(
-            tiny_problem("none", 2, [(0, 1)]), SearchLimits(incremental=False)
-        )
-    # ... and the scheduler facade rejects the combination eagerly.
-    with pytest.raises(ValueError):
-        SMTScheduler(strategy="bisection", incremental=False)
-    SMTScheduler(strategy="linear", incremental=False)  # fine
 
 
 # --------------------------------------------------------------------------- #
@@ -217,22 +182,19 @@ def test_report_statistics_cover_every_probe(strategy, horizons, capacity):
         assert report.statistics[key] == sum(probe[key] for probe in probes)
 
 
-@pytest.mark.parametrize(
-    "strategy, incremental",
-    [("linear", True), ("bisection", True), ("linear", False)],
-)
-def test_report_statistics_sum_the_probes_they_saw(strategy, incremental, monkeypatch):
-    """Every probe's counters and encode/solve time reach the report, on the
-    incremental path (one growing instance) and the cold-start one (a fresh
-    encoding per horizon) alike; gauges come from the last probe."""
-    owner = SearchContext if incremental else EncodedInstance
-    probes, original = [], owner.statistics
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_report_statistics_sum_the_probes_they_saw(strategy, monkeypatch):
+    """Every probe's counters and encode/solve time reach the report;
+    gauges come from the last probe."""
+    probes, original = [], SearchContext.statistics
     monkeypatch.setattr(
-        owner, "statistics", lambda self: probes.append(original(self)) or probes[-1]
+        SearchContext,
+        "statistics",
+        lambda self: probes.append(original(self)) or probes[-1],
     )
     report = get_strategy(strategy).run(
         tiny_problem("bottom", 3, [(0, 1), (1, 2), (0, 2)]),
-        SearchLimits(time_limit=300, incremental=incremental),
+        SearchLimits(time_limit=300),
     )
     assert len(probes) == len(report.stages_tried) > 1
     for key in ("sat_conflicts", "sat_decisions", "encode_seconds", "solve_seconds"):
@@ -423,12 +385,3 @@ def test_portfolio_custom_configs_and_serial_fallback():
     assert report.found and report.optimal
     assert report.schedule.num_stages == 5
     assert report.winner["mode"] == "inline"
-
-
-def test_portfolio_requires_incremental_limits():
-    with pytest.raises(ValueError):
-        PortfolioStrategy().run(
-            tiny_problem("bottom", 2, [(0, 1)]), SearchLimits(incremental=False)
-        )
-    with pytest.raises(ValueError):
-        SMTScheduler(strategy="portfolio", incremental=False)

@@ -30,9 +30,9 @@ from repro.evaluation.runner import (
 def test_build_suite_shapes():
     # 5 instances on the none/bottom layouts plus the 3 airborne-feasible
     # instances on the shielded storage-less pseudo-layout = 13 cells per
-    # strategy (linear, coldstart, bisection, portfolio).
+    # strategy (linear, bisection, portfolio).
     smt = build_suite("smt")
-    assert len(smt) == 4 * (2 * 5 + 3)
+    assert len(smt) == 3 * (2 * 5 + 3)
     assert all(inst.suite == "smt" for inst in smt)
     table1 = build_suite("table1", codes=["steane"])
     assert len(table1) == 3  # three layouts

@@ -17,6 +17,7 @@ import pytest
 from repro.evaluation.runner import SMT_INSTANCES
 from repro.service import client, get_json, start_service, stream_schedule
 from repro.service import server as server_module
+from repro.service.ledger import load_ledger
 
 RELABELED_TRIANGLE = [[1, 0], [2, 1], [0, 2]]
 INVALID_DOC = {"num_qubits": 2, "gates": [[0, 0]]}
@@ -228,6 +229,64 @@ def test_cache_hit_is_one_write_with_unchanged_bytes(monkeypatch):
     _run(scenario, jobs=1, default_time_limit=60.0)
 
 
+@pytest.mark.parametrize(
+    "connection",
+    [b"", b"Connection: keep-alive\r\n"],
+    ids=["http10", "http10-keep-alive"],
+)
+def test_http10_schedule_streams_unchunked_lines_then_closes(connection):
+    """HTTP/1.0 defines no chunked encoding: a miss and a hit stream the
+    same ndjson events as a body that ends when the server closes."""
+
+    async def scenario(running):
+        body = json.dumps(_doc()).encode()
+        streams = []
+        for _ in ("miss", "hit"):
+            reader, writer = await asyncio.open_connection(running.host, running.port)
+            try:
+                writer.write(
+                    b"POST /v1/schedule HTTP/1.0\r\n"
+                    + connection
+                    + f"Content-Length: {len(body)}\r\n\r\n".encode()
+                    + body
+                )
+                # read() returns at EOF: the server closes after the stream.
+                streams.append(await asyncio.wait_for(reader.read(), 60.0))
+            finally:
+                writer.close()
+        for raw, cache in zip(streams, ("miss", "hit")):
+            head, _, payload = raw.partition(b"\r\n\r\n")
+            assert head == (
+                b"HTTP/1.1 200 OK\r\nContent-Type: application/x-ndjson\r\n"
+                b"Connection: close"
+            )
+            events = [json.loads(line) for line in payload.splitlines()]
+            assert payload == b"".join(
+                (json.dumps(event, sort_keys=True) + "\n").encode()
+                for event in events
+            )
+            assert events[0]["event"] == "accepted"
+            assert events[0]["cache"] == cache
+            assert events[-1]["event"] == "result"
+            assert events[-1]["termination"] == "certified"
+        # An HTTP/1.1 client still gets a chunked, kept-alive stream.
+        reader, writer = await asyncio.open_connection(running.host, running.port)
+        try:
+            writer.write(
+                b"POST /v1/schedule HTTP/1.1\r\n"
+                + f"Content-Length: {len(body)}\r\n\r\n".encode()
+                + body
+            )
+            status, headers, _body = await _read_response(reader)
+            assert status == 200
+            assert headers["transfer-encoding"] == "chunked"
+            assert headers["connection"] == "keep-alive"
+        finally:
+            writer.close()
+
+    _run(scenario, jobs=1, default_time_limit=60.0)
+
+
 # --------------------------------------------------------------------------- #
 # Shutdown: no idle connection holds the server open
 # --------------------------------------------------------------------------- #
@@ -282,6 +341,43 @@ def test_aclose_ends_an_in_flight_stream_with_a_result():
         assert events[-1]["error"] == "service shutting down"
 
     asyncio.run(main())
+
+
+def test_aclose_records_the_verdict_of_the_miss_it_answered(tmp_path):
+    """The ledger closes only after the handler of a miss that shutdown
+    answered has recorded that verdict."""
+    ledger_path = tmp_path / "ledger.jsonl"
+    errors = []
+
+    async def main():
+        asyncio.get_running_loop().set_exception_handler(
+            lambda _loop, context: errors.append(context)
+        )
+        running = await start_service(
+            jobs=1, allow_selftest=True, ledger_path=ledger_path
+        )
+        sleeper = {**_doc("single-gate"), "selftest": {"op": "sleep", "seconds": 30}}
+        stream = asyncio.ensure_future(
+            stream_schedule(running.host, running.port, sleeper)
+        )
+        try:
+            for _ in range(600):
+                _status, stats = await get_json(running.host, running.port, "/v1/stats")
+                if stats["pool"]["busy"] == 1:
+                    break
+                await asyncio.sleep(0.05)
+        finally:
+            await asyncio.wait_for(running.aclose(), 10.0)
+        _status, events = await asyncio.wait_for(stream, 5.0)
+        # Let any done-callback of a failed handler run before the loop ends.
+        await asyncio.sleep(0.05)
+        return events[0]["request_id"]
+
+    request_id = asyncio.run(main())
+    assert errors == []
+    state = load_ledger(ledger_path)
+    assert state.crashed_cells() == []
+    assert state.completed[request_id]["termination"] == "backend-error"
 
 
 # --------------------------------------------------------------------------- #

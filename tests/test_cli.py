@@ -226,6 +226,39 @@ def test_commands_write_one_document_shape_only(command):
     assert not [option for option in options if "version" in option]
 
 
+def _strategy_choices(command):
+    [subcommands] = [
+        action
+        for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    [choices] = [
+        action.choices
+        for action in subcommands.choices[command]._actions
+        if "--strategy" in action.option_strings
+    ]
+    return choices
+
+
+@pytest.mark.parametrize("command", ["bench", "serve", "loadtest"])
+def test_strategy_choices_are_the_ones_the_service_admits(command):
+    """A name the CLI offers must pass the service's admission check, or
+    every request sent under it would fail."""
+    from repro.service.server import check_solver_fields
+
+    choices = _strategy_choices(command)
+    assert choices
+    for strategy in choices:
+        check_solver_fields({"strategy": strategy}, default_strategy="linear")
+
+
+def test_loadtest_rejects_a_strategy_the_service_does_not_know(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["loadtest", "--strategy", "coldstart", "--requests", "2"])
+    assert excinfo.value.code == 2
+    assert "invalid choice: 'coldstart'" in capsys.readouterr().err
+
+
 def test_bench_command_writes_the_current_document(tmp_path, capsys):
     output = tmp_path / "bench.json"
     assert main(
