@@ -94,7 +94,7 @@ def test_search_context_builds_instances_on_the_requested_backend():
     assert context.instance.solver.backend == "reference"
 
 
-@pytest.mark.parametrize("strategy", ["linear", "bisection"])
+@pytest.mark.parametrize("strategy", ["linear", "bisection", "portfolio"])
 def test_reference_backend_certifies_identical_optima(strategy):
     problem = reduced_problem("bottom", "chain-2")
     flat = SMTScheduler(strategy=strategy).schedule(problem)

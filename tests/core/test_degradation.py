@@ -133,7 +133,7 @@ def test_mid_search_expiry_keeps_unsat_lifted_bounds(monkeypatch):
 # --------------------------------------------------------------------------- #
 # Chaos: transient faults, retry exhaustion, permanent crashes
 # --------------------------------------------------------------------------- #
-@pytest.mark.parametrize("strategy", SINGLE_SEARCHES)
+@pytest.mark.parametrize("strategy", STRATEGIES)
 def test_transient_only_faults_certify_the_fault_free_optimum(
     strategy, monkeypatch
 ):
@@ -151,6 +151,20 @@ def test_transient_only_faults_certify_the_fault_free_optimum(
     assert report.optimal
     assert report.schedule.num_stages == baseline.schedule.num_stages
     assert report.statistics["backend_retries"] > 0
+
+
+@pytest.mark.parametrize("strategy", SINGLE_SEARCHES)
+def test_retries_add_up_over_probes(strategy, monkeypatch):
+    """Every probe is one solve on the search's one backend, and every
+    solve meets exactly one transient fault: the report counts one retry
+    per decided horizon."""
+    monkeypatch.setenv("REPRO_CHAOS_SPEC", "seed=7,transient=1.0,consecutive=1")
+    report = SMTScheduler(strategy=strategy, sat_backend="chaos:flat").schedule(
+        triangle_problem()
+    )
+    assert report.termination == TERMINATION_CERTIFIED
+    assert report.num_horizons == len(report.stages_tried) > 1
+    assert report.statistics["backend_retries"] == report.num_horizons
 
 
 def test_retry_exhaustion_degrades_with_the_analytic_interval(monkeypatch):
@@ -171,7 +185,7 @@ def test_retry_exhaustion_degrades_with_the_analytic_interval(monkeypatch):
     assert_sound(report, problem)
 
 
-@pytest.mark.parametrize("strategy", SINGLE_SEARCHES)
+@pytest.mark.parametrize("strategy", STRATEGIES)
 def test_permanent_crash_mid_search_keeps_completed_probe_bounds(
     strategy, monkeypatch
 ):
@@ -204,7 +218,7 @@ def test_linear_crash_after_unsat_probe_lifts_the_lower_bound(monkeypatch):
 # --------------------------------------------------------------------------- #
 # UNKNOWN probes never refute (the soundness regression tests)
 # --------------------------------------------------------------------------- #
-@pytest.mark.parametrize("strategy", SINGLE_SEARCHES)
+@pytest.mark.parametrize("strategy", STRATEGIES)
 def test_unknown_probes_never_lift_the_lower_bound(strategy, monkeypatch):
     """The soundness invariant: an UNKNOWN probe at S must not be treated
     as a refuted horizon.  With every probe forced to UNKNOWN the search

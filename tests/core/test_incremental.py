@@ -12,6 +12,7 @@ import pytest
 from repro.arch import reduced_layout
 from repro.core.encoding import encode_incremental_instance, encode_problem
 from repro.core.problem import SchedulingProblem
+from repro.core.report import TERMINATION_CERTIFIED, TERMINATION_INFEASIBLE
 from repro.core.scheduler import SMTScheduler
 from repro.core.validator import validate_schedule
 from repro.evaluation.runner import SMT_INSTANCES
@@ -42,15 +43,15 @@ INSTANCES = {**SMT_INSTANCES, "steane-sub": steane_subinstance()}
 # --------------------------------------------------------------------------- #
 # Agreement with fresh one-shot encodings (the reference oracle)
 # --------------------------------------------------------------------------- #
-@pytest.mark.parametrize("layout_kind", ["none", "bottom"])
-@pytest.mark.parametrize("instance_name", list(INSTANCES))
-def test_incremental_matches_coldstart(layout_kind, instance_name):
-    """The search's certified optimum S* is SAT on a fresh encoding of S*
+def assert_matches_one_shot_encodings(strategy, layout_kind, instance_name):
+    """*strategy*'s certified optimum S* is SAT on a fresh encoding of S*
     stages and UNSAT on one of S* - 1 (checked unless the analytic lower
     bound already excludes S* - 1)."""
     num_qubits, gates = INSTANCES[instance_name]
     problem = SchedulingProblem.from_gates(tiny_layout(layout_kind), num_qubits, gates)
-    report = SMTScheduler(time_limit_per_instance=300).schedule(problem)
+    report = SMTScheduler(
+        time_limit_per_instance=300, strategy=strategy
+    ).schedule(problem)
     assert report.found and report.optimal
     validate_schedule(report.schedule, require_shielding=problem.shielding)
     optimum = report.schedule.num_stages
@@ -65,6 +66,22 @@ def test_incremental_matches_coldstart(layout_kind, instance_name):
         assert below.check(time_limit=300) is CheckResult.UNSAT
 
 
+@pytest.mark.parametrize("layout_kind", ["none", "bottom"])
+@pytest.mark.parametrize("instance_name", list(INSTANCES))
+def test_incremental_matches_coldstart(layout_kind, instance_name):
+    """The linear search agrees with fresh one-shot encodings."""
+    assert_matches_one_shot_encodings("linear", layout_kind, instance_name)
+
+
+@pytest.mark.parametrize("layout_kind", ["none", "bottom"])
+@pytest.mark.parametrize("instance_name", list(INSTANCES))
+def test_bisection_matches_one_shot_encodings(layout_kind, instance_name):
+    """Bisection probes out of order on the same growable instance (above
+    the optimum, then below it); its optimum must still agree with fresh
+    one-shot encodings."""
+    assert_matches_one_shot_encodings("bisection", layout_kind, instance_name)
+
+
 def test_incremental_scheduler_respects_max_stages():
     scheduler = SMTScheduler(max_stages=1)
     report = scheduler.schedule(
@@ -72,6 +89,26 @@ def test_incremental_scheduler_respects_max_stages():
     )
     assert not report.found
     assert report.schedule is None
+
+
+@pytest.mark.parametrize("max_stages", [2, 3])
+@pytest.mark.parametrize("strategy", ["linear", "bisection", "portfolio"])
+def test_max_stages_caps_every_strategy(strategy, max_stages):
+    """The chain's analytic lower bound is its optimum, 3: a cap below it is
+    refuted without a probe, and a cap at it certifies with one probe."""
+    report = SMTScheduler(max_stages=max_stages, strategy=strategy).schedule(
+        SchedulingProblem.from_gates(tiny_layout("bottom"), 3, [(0, 1), (1, 2)])
+    )
+    if max_stages < 3:
+        assert report.termination == TERMINATION_INFEASIBLE
+        assert not report.found
+        assert report.schedule is None
+        assert report.stages_tried == []
+    else:
+        assert report.termination == TERMINATION_CERTIFIED
+        assert report.optimal
+        assert report.schedule.num_stages == 3
+        assert report.stages_tried == [3]
 
 
 def test_incremental_capacity_rebuild_still_optimal(monkeypatch):

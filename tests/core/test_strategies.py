@@ -342,23 +342,53 @@ def test_portfolio_narrow_interval_runs_inline():
     assert report.strategy == "portfolio"
 
 
-def test_portfolio_race_first_certificate_wins_and_cancels_losers():
+def test_portfolio_race_first_certificate_wins_and_cancels_losers(monkeypatch):
     """Forcing the race (jobs=2) on the wide-interval cell: the winner's
-    configuration is recorded and the losers are cancelled/terminated."""
+    configuration is recorded and the losers are cancelled/terminated.
+
+    Left alone, linear and bisection certify the triangle within a tenth of
+    a second of each other, so both can land in the same poll and nobody
+    loses.  The linear configuration therefore runs on a chaos backend that
+    sleeps before every solve: bisection must win, and the pool shutdown
+    must terminate the sleeping loser."""
+    monkeypatch.setenv("REPRO_CHAOS_SPEC", "delay=60")
+    configs = [
+        {"strategy": "bisection", "sat_backend": "flat"},
+        {"strategy": "linear", "sat_backend": "chaos:flat"},
+    ]
     problem = tiny_problem("bottom", 3, [(0, 1), (1, 2), (0, 2)])
-    report = PortfolioStrategy(jobs=2).run(
+    report = PortfolioStrategy(configs=configs, jobs=2).run(
         problem, SearchLimits(time_limit=300)
     )
+    assert report.found and report.optimal
+    assert report.schedule.num_stages == 5
+    assert report.winner["mode"] == "raced"
+    assert report.winner["strategy"] == "bisection"
+    assert report.winner["sat_backend"] == "flat"
+    raced = report.winner["raced_configs"]
+    assert raced == len(configs)
+    assert report.winner["finished"] == 1
+    assert report.winner["cancelled"] == 1  # the sleeping linear lost
+    assert report.statistics["portfolio_cancelled"] == report.winner["cancelled"]
+    # The race ends at the winner's certificate, not the loser's sleep.
+    assert report.statistics["portfolio_race_seconds"] < 60
+    assert report.schedule.metadata["strategy"] == "portfolio"
+
+
+def test_portfolio_default_configs_race_to_the_optimum():
+    """The default configurations race (jobs=2) on the wide-interval cell;
+    whichever certifies first, it is one of them and the optimum is 5."""
+    problem = tiny_problem("bottom", 3, [(0, 1), (1, 2), (0, 2)])
+    report = PortfolioStrategy(jobs=2).run(problem, SearchLimits(time_limit=300))
     assert report.found and report.optimal
     assert report.schedule.num_stages == 5
     assert report.winner["mode"] == "raced"
     assert report.winner["strategy"] in {"bisection", "linear"}
     raced = report.winner["raced_configs"]
     assert raced == len(PORTFOLIO_CONFIGS)
-    assert report.winner["finished"] + report.winner["cancelled"] <= raced
-    assert report.winner["cancelled"] >= 1  # someone lost the race
+    assert 1 <= report.winner["finished"] <= raced
+    assert report.winner["finished"] + report.winner["cancelled"] == raced
     assert report.statistics["portfolio_cancelled"] == report.winner["cancelled"]
-    assert report.schedule.metadata["strategy"] == "portfolio"
 
 
 def test_portfolio_repeated_runs_return_the_same_optimal_s():
