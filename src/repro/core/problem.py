@@ -57,6 +57,7 @@ prints as a table.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import combinations
 from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
 
@@ -494,6 +495,52 @@ def _require_int(value: object, name: str) -> int:
     return value
 
 
+def _layout_memo_key(layout: object) -> str | tuple:
+    """Validate a request's ``layout`` field and return its memo key.
+
+    Validation runs before the memo is consulted: ``True == 1`` and
+    ``2.0 == 2`` hash alike, so an unchecked document could otherwise hit
+    the entry of a valid one.
+    """
+    if isinstance(layout, str):
+        return layout
+    if isinstance(layout, dict):
+        kind = layout.get("kind", "bottom")
+        if not isinstance(kind, str):
+            raise ValueError(f"layout kind must be a string, got {kind!r}")
+        extents = {key: value for key, value in layout.items() if key != "kind"}
+        unknown = sorted(set(extents) - set(_LAYOUT_EXTENTS))
+        if unknown:
+            raise ValueError(
+                f"unknown layout keys {unknown} "
+                f"(choose from {['kind', *_LAYOUT_EXTENTS]})"
+            )
+        for key, value in extents.items():
+            _require_int(value, f"layout {key}")
+        return (kind, tuple(sorted(extents.items())))
+    raise ValueError(f"layout must be a string or object, got {type(layout)}")
+
+
+@lru_cache(maxsize=32)
+def _layout_architecture(memo_key: str | tuple) -> ZonedArchitecture:
+    """One shared (immutable) architecture per distinct layout document."""
+    from repro.arch import evaluation_layouts, reduced_layout
+
+    if isinstance(memo_key, tuple):
+        kind, extents = memo_key
+        return reduced_layout(kind, **dict(extents))
+    if memo_key.startswith("full:"):
+        layouts = evaluation_layouts()
+        name = memo_key[len("full:"):]
+        if name not in layouts:
+            raise ValueError(
+                f"unknown evaluation layout {name!r} "
+                f"(choose from {sorted(layouts)})"
+            )
+        return layouts[name]
+    return reduced_layout(memo_key)
+
+
 def problem_from_document(doc: dict) -> SchedulingProblem:
     """Build a :class:`SchedulingProblem` from a JSON request document.
 
@@ -514,39 +561,10 @@ def problem_from_document(doc: dict) -> SchedulingProblem:
     takes only ``kind`` and integer extents (``x_max``, ``h_max``,
     ``v_max``, ``c_max``, ``r_max``); ``num_qubits`` and the gate qubits
     must be integers and ``shielding`` a boolean or null.  Anything else
-    raises ``ValueError``.
+    raises ``ValueError``.  Equal layout documents share one architecture
+    object, built on first sight and kept in a small bounded memo.
     """
-    from repro.arch import evaluation_layouts, reduced_layout
-
-    layout = doc.get("layout", "bottom")
-    if isinstance(layout, str):
-        if layout.startswith("full:"):
-            layouts = evaluation_layouts()
-            name = layout[len("full:"):]
-            if name not in layouts:
-                raise ValueError(
-                    f"unknown evaluation layout {name!r} "
-                    f"(choose from {sorted(layouts)})"
-                )
-            architecture = layouts[name]
-        else:
-            architecture = reduced_layout(layout)
-    elif isinstance(layout, dict):
-        kind = layout.get("kind", "bottom")
-        if not isinstance(kind, str):
-            raise ValueError(f"layout kind must be a string, got {kind!r}")
-        extents = {key: value for key, value in layout.items() if key != "kind"}
-        unknown = sorted(set(extents) - set(_LAYOUT_EXTENTS))
-        if unknown:
-            raise ValueError(
-                f"unknown layout keys {unknown} "
-                f"(choose from {['kind', *_LAYOUT_EXTENTS]})"
-            )
-        for key, value in extents.items():
-            _require_int(value, f"layout {key}")
-        architecture = reduced_layout(kind, **extents)
-    else:
-        raise ValueError(f"layout must be a string or object, got {type(layout)}")
+    architecture = _layout_architecture(_layout_memo_key(doc.get("layout", "bottom")))
     shielding = doc.get("shielding")
     if shielding is not None and not isinstance(shielding, bool):
         raise ValueError(f"shielding must be true, false or null, got {shielding!r}")

@@ -1,8 +1,19 @@
 """Shared fixtures for the test suite."""
 
+import os
 import pathlib
 
 import pytest
+from hypothesis import settings
+
+#: ``deep``: many more examples for the property tests that take their
+#: example count from the active profile (the canonical search's
+#: differential oracle among them).  Loaded only when ``HYPOTHESIS_PROFILE``
+#: names it, so a plain ``pytest`` run keeps Hypothesis's defaults:
+#: ``HYPOTHESIS_PROFILE=deep python -m pytest tests/core/test_canonical.py``.
+settings.register_profile("deep", max_examples=500, deadline=None)
+if os.environ.get("HYPOTHESIS_PROFILE"):
+    settings.load_profile(os.environ["HYPOTHESIS_PROFILE"])
 
 #: Absolute path of the package sources, injected into fake solver scripts
 #: so the subprocess can reuse the in-process CDCL core.

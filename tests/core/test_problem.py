@@ -340,3 +340,71 @@ def test_describe_mentions_the_essentials():
     assert "2 qubits" in text
     assert "1 CZ gates" in text
     assert "unshielded" in text
+
+
+# --------------------------------------------------------------------------- #
+# Request documents: one architecture per layout document
+# --------------------------------------------------------------------------- #
+def _layout_doc(layout, gates=((0, 1),)):
+    return {"num_qubits": 2, "gates": [list(gate) for gate in gates], "layout": layout}
+
+
+def test_equal_layout_documents_share_one_architecture():
+    from repro.core.problem import problem_from_document
+
+    first = problem_from_document(_layout_doc({"kind": "bottom", "x_max": 2, "c_max": 2}))
+    reordered = problem_from_document(
+        _layout_doc({"c_max": 2, "x_max": 2, "kind": "bottom"}, gates=((1, 0),))
+    )
+    assert first.architecture is reordered.architecture
+    assert (
+        problem_from_document(_layout_doc("double")).architecture
+        is problem_from_document(_layout_doc("double")).architecture
+    )
+
+
+@pytest.mark.parametrize(
+    "other",
+    [{"kind": "double", "x_max": 2}, {"kind": "bottom", "x_max": 3}, {"kind": "bottom"}],
+)
+def test_different_layout_documents_get_their_own_architecture_and_key(other):
+    from repro.core.canonical import canonical_key
+    from repro.core.problem import problem_from_document
+
+    base = problem_from_document(_layout_doc({"kind": "bottom", "x_max": 2}))
+    changed = problem_from_document(_layout_doc(other))
+    assert changed.architecture is not base.architecture
+    assert canonical_key(changed) != canonical_key(base)
+
+
+def test_layout_memo_validates_before_it_looks_up():
+    # True == 1 and hash(True) == hash(1): a memo hit must not let the
+    # boolean through where the integer was accepted.
+    from repro.core.problem import problem_from_document
+
+    problem_from_document(_layout_doc({"kind": "bottom", "x_max": 1}))
+    with pytest.raises(ValueError, match="layout x_max must be an integer"):
+        problem_from_document(_layout_doc({"kind": "bottom", "x_max": True}))
+
+
+def test_full_layout_names_build_the_table_once(monkeypatch):
+    import repro.arch
+    from repro.core import problem as problem_module
+
+    calls = 0
+    build = repro.arch.evaluation_layouts
+
+    def counting_evaluation_layouts(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(repro.arch, "evaluation_layouts", counting_evaluation_layouts)
+    problem_module._layout_architecture.cache_clear()
+    doc = _layout_doc("full:(2) Bottom Storage")
+    first = problem_module.problem_from_document(doc)
+    second = problem_module.problem_from_document(doc)
+    assert calls == 1
+    assert first.architecture is second.architecture
+    assert first.architecture == bottom_storage_layout()
+    assert problem_module._layout_architecture.cache_info().maxsize is not None
