@@ -5,7 +5,8 @@ hundreds of hours (large codes).  With a pure-Python SAT core the same
 encoding is exercised here on reduced-but-structurally-identical instances;
 the benchmark also cross-checks the optimal stage counts against the
 architecture's shielding behaviour (storage zone => extra transfer stage),
-pits the incremental minimum-stage search against the cold-start one,
+pits the incremental minimum-stage search against a fresh one-shot
+encoding per horizon,
 certifies that bound-driven bisection reaches the same optima while probing
 strictly fewer stage horizons on multi-horizon instances, races the
 flat-array CDCL core against the preserved seed implementation
@@ -83,7 +84,7 @@ def test_bench_smt_incremental_beats_coldstart(benchmark):
     horizons, where incrementality has nothing to amortise; the comparison
     therefore drives the seed-era walk (every horizon from 2 to the
     triangle's optimum of 5) explicitly through the shared context versus a
-    fresh cold-start encoding per horizon.
+    fresh one-shot encoding per horizon.
     """
     import time
 

@@ -9,7 +9,7 @@ loading counterpart of Eq. 20) are spelled out explicitly.
 Each stage-indexed group accepts an optional *stages* (intra-stage
 constraints) or *transitions* (constraints linking stage ``t`` to ``t+1``)
 argument selecting which stage indices to assert.  The default (``None``)
-asserts the full instance, matching the original cold-start behaviour;
+asserts the full instance (the fixed-S encoding);
 :func:`assert_stage` uses the ranged form to extend an instance by one stage
 in place for the incremental scheduler.
 """
@@ -69,7 +69,7 @@ def assert_stage(
     Complements :meth:`StatePrepVariables.add_stage`: the intra-stage groups
     are asserted for *stage* alone and the transition groups for the edge
     ``stage-1 -> stage``.  Asserting stages ``0..S-1`` one by one therefore
-    yields exactly the constraint set of a cold-start ``S``-stage instance
+    yields exactly the constraint set of a fixed ``S``-stage instance
     (modulo the wider ``gate_stage`` domains, which the incremental scheduler
     narrows with assumption-guarded horizon constraints).
     """

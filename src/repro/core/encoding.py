@@ -1,13 +1,16 @@
-"""Complete SMT encoding of one scheduling instance plus model extraction.
+"""Complete SMT encoding of one scheduling problem plus model extraction.
 
-Two instance flavours exist:
+Both instance flavours sit on the same incremental
+:class:`~repro.smt.solver.Solver` over the same formula; they differ in
+how the stage horizon is imposed:
 
-* :class:`EncodedInstance` — the one-shot encoding: a fixed stage count,
-  one fresh solver per instance.  No search runs on it; it is the
-  reference the differential tests hold the incremental search against,
-  and the CNF source of :func:`repro.sat.bench.scheduling_cnf`.
-* :class:`IncrementalInstance` — a growable encoding: the instance starts at
-  some stage count and is *extended in place* one stage at a time
+* :class:`EncodedInstance` (:func:`encode_problem`) — a fixed stage count
+  whose ``gate_stage`` domains end at that horizon.  No search runs on it;
+  it is the reference the differential tests hold the search against, and
+  the CNF source of :func:`repro.sat.bench.scheduling_cnf`.
+* :class:`IncrementalInstance` (:func:`encode_incremental_problem`) — a
+  growable encoding: the instance starts at some stage count and is
+  *extended in place* one stage at a time
   (:meth:`IncrementalInstance.extend_to`).  The stage horizon is imposed with
   fresh activation literals assumed per :meth:`IncrementalInstance.check`
   call, so the underlying CDCL solver keeps its learned clauses and variable
@@ -17,7 +20,7 @@ Two instance flavours exist:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Optional
 
 from repro.arch.architecture import ZonedArchitecture
 from repro.core import constraints as C
@@ -32,15 +35,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.problem import SchedulingProblem
 
 Gate = tuple[int, int]
-
-
-def _normalised_gates(num_qubits: int, gates: Sequence[Gate]) -> list[Gate]:
-    """Validate and canonicalise (sort the endpoints of) every CZ gate."""
-    normalised = [(min(a, b), max(a, b)) for a, b in gates]
-    for a, b in normalised:
-        if a == b or not (0 <= a < num_qubits and 0 <= b < num_qubits):
-            raise ValueError(f"invalid CZ gate ({a}, {b})")
-    return normalised
 
 
 @dataclass
@@ -124,7 +118,7 @@ class IncrementalInstance:
         """Grow the instance to *num_stages* stages (no-op when already there).
 
         Each added stage allocates its variables and asserts exactly the
-        constraints a cold-start encoding of the larger instance would
+        constraints a fixed-S encoding of the larger instance would
         contain for that stage (intra-stage groups plus the transition from
         the previously last stage).
         """
@@ -200,105 +194,48 @@ class IncrementalInstance:
         return literal
 
 
-def encode_instance(
-    architecture: ZonedArchitecture,
-    num_qubits: int,
-    gates: Sequence[Gate],
+def _encode(
+    problem: "SchedulingProblem",
     num_stages: int,
-    shielding: bool | None = None,
-    backend: str | None = None,
-    backend_retries: int | None = None,
-) -> EncodedInstance:
-    """Build the symbolic formulation for a fixed stage count.
+    backend: str | None,
+    max_stages: int | None = None,
+) -> tuple[Solver, StatePrepVariables]:
+    """Assert the constraints of *problem* at *num_stages* stages.
 
-    *shielding* defaults to "the architecture has a storage zone", matching
-    the paper's handling of Layout 1 (footnote 2).  *backend* selects the
-    SAT backend by registry name (default: the in-process flat core);
-    *backend_retries* bounds per-check transient-failure retries (``None``
-    keeps the solver default).
+    The ``gate_stage`` domains cover *max_stages* stages (default: exactly
+    *num_stages*).  The problem's gates are already validated and sorted
+    and its shielding resolved (:meth:`SchedulingProblem.from_gates`).
     """
-    normalised = _normalised_gates(num_qubits, gates)
-    if shielding is None:
-        shielding = architecture.has_storage
-    solver = Solver(
-        backend=backend,
-        **({} if backend_retries is None else {"backend_retries": backend_retries}),
-    )
-    variables = StatePrepVariables.create(
-        solver, architecture, num_qubits, len(normalised), num_stages
-    )
-    C.assert_all(variables, normalised, shielding=shielding)
-    return EncodedInstance(
-        architecture=architecture,
-        num_qubits=num_qubits,
-        gates=list(normalised),
-        num_stages=num_stages,
-        shielding=shielding,
-        solver=solver,
-        variables=variables,
-    )
-
-
-def encode_incremental_instance(
-    architecture: ZonedArchitecture,
-    num_qubits: int,
-    gates: Sequence[Gate],
-    num_stages: int,
-    max_stages: int,
-    shielding: bool | None = None,
-    backend: str | None = None,
-    backend_retries: int | None = None,
-) -> IncrementalInstance:
-    """Build a growable instance starting at *num_stages* stages.
-
-    The instance can later be extended up to *max_stages* stages without
-    re-encoding the stages that already exist.  *backend* selects the SAT
-    backend by registry name (default: the in-process flat core);
-    *backend_retries* bounds per-check transient-failure retries (``None``
-    keeps the solver default).
-    """
-    normalised = _normalised_gates(num_qubits, gates)
-    if shielding is None:
-        shielding = architecture.has_storage
-    solver = Solver(
-        incremental=True,
-        backend=backend,
-        **({} if backend_retries is None else {"backend_retries": backend_retries}),
-    )
+    solver = Solver(backend=backend)
     variables = StatePrepVariables.create(
         solver,
-        architecture,
-        num_qubits,
-        len(normalised),
+        problem.architecture,
+        problem.num_qubits,
+        len(problem.gates),
         num_stages,
         gate_stage_capacity=max_stages,
     )
-    C.assert_all(variables, normalised, shielding=shielding)
-    return IncrementalInstance(
-        architecture=architecture,
-        num_qubits=num_qubits,
-        gates=list(normalised),
-        shielding=shielding,
-        solver=solver,
-        variables=variables,
-    )
+    C.assert_all(variables, problem.gates, shielding=problem.shielding)
+    return solver, variables
 
 
 def encode_problem(
-    problem: "SchedulingProblem",
-    num_stages: int,
-    backend: str | None = None,
-    backend_retries: int | None = None,
+    problem: "SchedulingProblem", num_stages: int, backend: str | None = None
 ) -> EncodedInstance:
-    """Cold-start encoding of a :class:`SchedulingProblem` at a fixed S."""
-    return encode_instance(
-        problem.architecture,
-        problem.num_qubits,
-        problem.gates,
-        num_stages,
+    """Fixed-S encoding of a :class:`SchedulingProblem`.
+
+    *backend* selects the SAT backend by registry name (default: the
+    in-process flat core).
+    """
+    solver, variables = _encode(problem, num_stages, backend)
+    return EncodedInstance(
+        architecture=problem.architecture,
+        num_qubits=problem.num_qubits,
+        gates=list(problem.gates),
+        num_stages=num_stages,
         shielding=problem.shielding,
-        backend=backend,
-        backend_retries=backend_retries,
+        solver=solver,
+        variables=variables,
     )
 
 
@@ -307,18 +244,20 @@ def encode_incremental_problem(
     num_stages: int,
     max_stages: int,
     backend: str | None = None,
-    backend_retries: int | None = None,
 ) -> IncrementalInstance:
-    """Growable encoding of a :class:`SchedulingProblem`."""
-    return encode_incremental_instance(
-        problem.architecture,
-        problem.num_qubits,
-        problem.gates,
-        num_stages=num_stages,
-        max_stages=max_stages,
+    """Growable encoding of a :class:`SchedulingProblem`.
+
+    The instance starts at *num_stages* stages and can later be extended up
+    to *max_stages* stages without re-encoding the stages that exist.
+    """
+    solver, variables = _encode(problem, num_stages, backend, max_stages)
+    return IncrementalInstance(
+        architecture=problem.architecture,
+        num_qubits=problem.num_qubits,
+        gates=list(problem.gates),
         shielding=problem.shielding,
-        backend=backend,
-        backend_retries=backend_retries,
+        solver=solver,
+        variables=variables,
     )
 
 

@@ -69,7 +69,6 @@ class SMTScheduler:
         strategy: str = "linear",
         sat_backend: Optional[str] = None,
         deadline: Optional[float] = None,
-        backend_retries: Optional[int] = None,
     ) -> None:
         """*deadline* is the whole-search wall-clock budget in seconds:
         each :meth:`schedule` call starts a fresh
@@ -77,17 +76,13 @@ class SMTScheduler:
         its per-probe budgets from the *remaining* time (unlike
         *time_limit_per_instance*, which caps each probe independently).
         On expiry the strategies degrade gracefully instead of raising —
-        see ``SchedulerReport.termination``.  *backend_retries* bounds the
-        per-check retries of transient SAT-backend failures (``None``
-        keeps the solver default of
-        :data:`repro.smt.solver.DEFAULT_BACKEND_RETRIES`).
+        see ``SchedulerReport.termination``.
         """
         limits = SearchLimits(
             max_stages=max_stages,
             max_conflicts=max_conflicts_per_instance,
             time_limit=time_limit_per_instance,
             sat_backend=sat_backend,
-            backend_retries=backend_retries,
         )
         # Resolve eagerly so unknown names fail at construction time, not
         # mid-batch.
@@ -124,7 +119,6 @@ class SMTScheduler:
         self,
         problem: SchedulingProblem,
         metadata: dict | None = None,
-        validate: bool = True,
         deadline: Optional[float | Deadline] = None,
     ) -> SchedulerReport:
         """Find a schedule of *problem* with the minimum number of stages.
@@ -133,7 +127,8 @@ class SMTScheduler:
         a per-instance resource limit was hit before satisfiability could be
         decided for some stage count smaller than the one finally used (the
         schedule, if any, is then feasible but possibly not minimal);
-        ``report.termination`` records how the search ended.
+        ``report.termination`` records how the search ended.  A found
+        schedule is validated before it is returned.
 
         *deadline* overrides the constructor's whole-search budget for this
         call only: seconds from now, or an already-ticking
@@ -158,6 +153,6 @@ class SMTScheduler:
             limits = replace(limits, deadline=ticking)
         report = get_strategy(self._strategy).run(problem, limits, metadata)
         report.sat_backend = self._backend_name
-        if validate and report.schedule is not None:
+        if report.schedule is not None:
             validate_schedule(report.schedule, require_shielding=problem.shielding)
         return report

@@ -34,7 +34,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: first horizon it is asked to decide.  A small value keeps the up-front
 #: ``gate_stage`` bit-vectors narrow (their domain covers the full capacity);
 #: searches that outgrow the capacity rebuild the instance with double the
-#: headroom, which costs one cold re-encode and is rare in practice.
+#: headroom, which costs one full re-encode and is rare in practice.
 _CAPACITY_HEADROOM = 7
 
 #: Probe statistics that describe the solver rather than the probe's work:
@@ -67,9 +67,6 @@ class SearchLimits:
     #: graceful-degradation contract (``report.termination``).  ``None``
     #: means unbounded.
     deadline: Optional[Deadline] = None
-    #: Per-check retry budget for transient SAT-backend failures (``None``
-    #: keeps :data:`repro.smt.solver.DEFAULT_BACKEND_RETRIES`).
-    backend_retries: Optional[int] = None
 
 
 class SearchContext:
@@ -137,7 +134,6 @@ class SearchContext:
             num_stages=horizon,
             max_stages=max(capacity, horizon),
             backend=self.limits.sat_backend,
-            backend_retries=self.limits.backend_retries,
         )
         self._instance = instance
         return instance

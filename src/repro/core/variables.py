@@ -31,7 +31,7 @@ class StatePrepVariables:
     num_stages: int
     solver: Solver
     #: Upper bound on the stage count the ``gate_stage`` domains admit.  The
-    #: cold-start encoding keeps this equal to ``num_stages``; the incremental
+    #: fixed-S encoding keeps this equal to ``num_stages``; the incremental
     #: encoding reserves headroom so stages can be appended without
     #: re-allocating the gate variables (whose domain is fixed at creation).
     gate_stage_capacity: int = 0
@@ -65,7 +65,7 @@ class StatePrepVariables:
         *gate_stage_capacity* widens the ``g_i`` domains to ``[0, capacity-1]``
         so the instance can later grow to ``capacity`` stages via
         :meth:`add_stage`.  The default (``None``) keeps the exact
-        ``num_stages`` domain of the cold-start encoding.
+        ``num_stages`` domain of the fixed-S encoding.
         """
         if num_stages <= 0:
             raise ValueError("a schedule needs at least one stage")

@@ -53,7 +53,6 @@ def default_design_space() -> dict[str, ZonedArchitecture]:
 def run_architecture_exploration(
     code_name: str,
     designs: dict[str, ZonedArchitecture] | None = None,
-    validate: bool = True,
     deadline: Optional[Deadline] = None,
 ) -> list[ExplorationResult]:
     """Schedule *code_name*'s preparation circuit on every design point.
@@ -74,8 +73,7 @@ def run_architecture_exploration(
             architecture, prep, metadata={"code": code.name}
         )
         schedule = StructuredScheduler().schedule(problem)
-        if validate:
-            validate_schedule(schedule, require_shielding=problem.shielding)
+        validate_schedule(schedule, require_shielding=problem.shielding)
         breakdown = approximate_success_probability(schedule, prep)
         results.append(
             ExplorationResult(

@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.arch import evaluation_layouts
 from repro.arch.architecture import ZonedArchitecture
 from repro.core.budget import Deadline
-from repro.circuit.state_prep_circuit import StatePrepCircuit
 from repro.core.problem import SchedulingProblem
 from repro.core.schedule import Schedule
 from repro.core.structured import StructuredScheduler
@@ -62,25 +61,14 @@ class Table1Row:
     layouts: dict[str, LayoutResult] = field(default_factory=dict)
 
 
-def schedule_with_structured_backend(
-    architecture: ZonedArchitecture,
-    prep: StatePrepCircuit,
-) -> Schedule:
-    """Default scheduling backend for the full-size Table I instances."""
-    problem = SchedulingProblem.from_circuit(
-        architecture, prep, metadata={"code": prep.name}
-    )
-    return StructuredScheduler().schedule(problem)
-
-
 def run_table1_row(
     code_name: str,
     layouts: dict[str, ZonedArchitecture] | None = None,
-    backend: Callable[[ZonedArchitecture, StatePrepCircuit], Schedule] | None = None,
-    validate: bool = True,
     deadline: Optional[Deadline] = None,
 ) -> Table1Row:
-    """Evaluate one code on every layout.
+    """Evaluate one code on every (or the given) layout.
+
+    Each cell is scheduled by the structured scheduler and validated.
 
     *deadline* makes the per-layout loop cooperatively preemptible: the
     budget is checked before every cell and expiry raises
@@ -88,7 +76,6 @@ def run_table1_row(
     serial ``--timeout`` interrupts a row mid-flight).
     """
     layouts = layouts or evaluation_layouts()
-    backend = backend or schedule_with_structured_backend
     code = get_code(code_name)
     prep = state_preparation_circuit(code)
     row = Table1Row(
@@ -101,10 +88,12 @@ def run_table1_row(
         if deadline is not None:
             deadline.check(f"table1 {code_name}/{layout_name}")
         start = time.monotonic()
-        schedule = backend(architecture, prep)
+        problem = SchedulingProblem.from_circuit(
+            architecture, prep, metadata={"code": prep.name}
+        )
+        schedule = StructuredScheduler().schedule(problem)
         elapsed = time.monotonic() - start
-        if validate:
-            validate_schedule(schedule, require_shielding=architecture.has_storage)
+        validate_schedule(schedule, require_shielding=architecture.has_storage)
         breakdown = approximate_success_probability(schedule, prep)
         row.layouts[layout_name] = LayoutResult(
             layout=layout_name,
@@ -120,25 +109,10 @@ def run_table1_row(
     return row
 
 
-def run_table1(
-    codes: Sequence[str] | None = None,
-    layouts: dict[str, ZonedArchitecture] | None = None,
-    backend: Callable[[ZonedArchitecture, StatePrepCircuit], Schedule] | None = None,
-    validate: bool = True,
-    deadline: Optional[Deadline] = None,
-) -> list[Table1Row]:
+def run_table1(codes: Sequence[str] | None = None) -> list[Table1Row]:
     """Evaluate all (or the given) codes on every layout."""
     code_names = list(codes) if codes is not None else available_codes()
-    return [
-        run_table1_row(
-            code,
-            layouts=layouts,
-            backend=backend,
-            validate=validate,
-            deadline=deadline,
-        )
-        for code in code_names
-    ]
+    return [run_table1_row(code) for code in code_names]
 
 
 def format_table1(rows: Sequence[Table1Row]) -> str:

@@ -34,7 +34,6 @@ from repro.sat.backend import (
     available_backends,
     backend_info,
     create_backend,
-    register_backend,
     usable_backends,
 )
 from repro.sat.chaos import ChaosBackend, FaultPlan
@@ -66,6 +65,5 @@ __all__ = [
     "available_backends",
     "backend_info",
     "create_backend",
-    "register_backend",
     "usable_backends",
 ]

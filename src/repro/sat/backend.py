@@ -9,8 +9,8 @@ first-class interface:
   ``new_var`` / ``add_clause`` / ``solve(assumptions=...)`` / ``model`` /
   ``statistics``, plus the capability flag ``supports_assumptions`` that
   lets callers fail fast instead of silently deciding the wrong formula.
-* a name-keyed registry mirroring :mod:`repro.core.strategies`:
-  :func:`register_backend`, :func:`create_backend`, :func:`backend_info`,
+* a name-keyed registry of the built-in backends below:
+  :func:`create_backend`, :func:`backend_info`,
   :func:`available_backends` (every registered name) and
   :func:`usable_backends` (the subset whose runtime requirements — e.g. an
   external solver binary — are met right now).
@@ -156,9 +156,6 @@ class BackendInfo:
     #: of its bound-driven configurations.  The seed reference core is kept
     #: out: it exists to stay slow, racing it only burns a worker.
     race_variant: bool = True
-    #: Keyword options the factory accepts.  :func:`create_backend` forwards
-    #: only these and silently drops the rest.
-    option_names: tuple[str, ...] = ()
     #: Whether ``name:argument`` lookups derive a parameterised entry whose
     #: factory receives the argument as ``inner=`` (e.g. ``chaos:flat``
     #: wraps the flat core).  The argument must itself be a registered
@@ -169,14 +166,9 @@ class BackendInfo:
 _REGISTRY: dict[str, BackendInfo] = {}
 
 
-def register_backend(info: BackendInfo) -> BackendInfo:
-    """Add a backend to the registry (keyed by ``info.name``)."""
-    if not info.name:
-        raise ValueError("backend needs a non-empty name")
-    if info.name in _REGISTRY:
-        raise ValueError(f"backend name {info.name!r} already registered")
+def _register(info: BackendInfo) -> None:
+    """Add a built-in backend to the registry (keyed by ``info.name``)."""
     _REGISTRY[info.name] = info
-    return info
 
 
 def available_backends() -> list[str]:
@@ -210,21 +202,13 @@ def backend_info(name: Optional[str] = None) -> BackendInfo:
             factory=partial(base_info.factory, inner=inner_info.name),
             description=f"{base_info.description} wrapping {inner_info.name!r}",
             is_available=inner_info.is_available,
-            option_names=tuple(
-                option for option in base_info.option_names if option != "inner"
-            ),
         )
     known = ", ".join(available_backends())
     raise ValueError(f"unknown SAT backend {key!r} (available: {known})") from None
 
 
-def create_backend(name: Optional[str] = None, **options: object) -> SatBackend:
+def create_backend(name: Optional[str] = None) -> SatBackend:
     """Instantiate the backend registered under *name* (default: ``flat``).
-
-    Keyword *options* (e.g. the chaos backend's ``inner`` and ``plan``) are
-    forwarded when the backend declares them in
-    :attr:`BackendInfo.option_names`; undeclared options and ``None`` values
-    are silently dropped.
 
     Raises ``ValueError`` for unknown names and
     :class:`~repro.sat.errors.PermanentBackendError` (a ``RuntimeError``
@@ -239,12 +223,7 @@ def create_backend(name: Optional[str] = None, **options: object) -> SatBackend:
             f"SAT backend {info.name!r} is registered but unavailable: "
             f"{info.description or 'runtime requirements not met'}"
         )
-    accepted = {
-        key: value
-        for key, value in options.items()
-        if key in info.option_names and value is not None
-    }
-    return info.factory(**accepted) if accepted else info.factory()
+    return info.factory()
 
 
 # --------------------------------------------------------------------------- #
@@ -502,14 +481,14 @@ class DimacsSubprocessBackend:
 # --------------------------------------------------------------------------- #
 # Built-in registrations
 # --------------------------------------------------------------------------- #
-register_backend(
+_register(
     BackendInfo(
         name="flat",
         factory=CDCLSolver,
         description="in-process flat-array CDCL core (the default hot path)",
     )
 )
-register_backend(
+_register(
     BackendInfo(
         name="reference",
         factory=ReferenceCDCLSolver,
@@ -517,7 +496,7 @@ register_backend(
         race_variant=False,
     )
 )
-register_backend(
+_register(
     BackendInfo(
         name="ipasir",
         factory=IpasirBackend,
@@ -529,7 +508,7 @@ register_backend(
         is_available=lambda: find_ipasir_library() is not None,
     )
 )
-register_backend(
+_register(
     BackendInfo(
         name="dimacs-subprocess",
         factory=DimacsSubprocessBackend,
@@ -547,7 +526,7 @@ register_backend(
 # class, after everything it imports from this module exists.
 from repro.sat.chaos import CHAOS_SPEC_ENV, ChaosBackend  # noqa: E402
 
-register_backend(
+_register(
     BackendInfo(
         name="chaos",
         factory=ChaosBackend,
@@ -558,7 +537,6 @@ register_backend(
         ),
         # Racing an intentionally faulty proxy would only burn a worker.
         race_variant=False,
-        option_names=("inner", "plan"),
         accepts_argument=True,
     )
 )
@@ -576,6 +554,5 @@ __all__ = [
     "backend_info",
     "create_backend",
     "find_solver_binary",
-    "register_backend",
     "usable_backends",
 ]

@@ -51,7 +51,7 @@ class FaultPlan:
     Rates are per-``solve`` probabilities drawn from one ``random.Random``
     seeded with *seed*, so a fixed plan injects the same fault sequence on
     every run.  ``max_consecutive_transients`` caps back-to-back transient
-    faults; keeping it at or below the solver's retry budget (default 2)
+    faults; keeping it at or below the solver's fixed retry budget (two)
     guarantees a transient-only plan always lets a retried solve through.
     """
 

@@ -58,8 +58,14 @@ class CertifiedResultCache:
                     continue  # torn final line: keep what parsed
                 key = record.get("key")
                 entry = record.get("entry")
-                if isinstance(key, str) and isinstance(entry, dict):
-                    self._entries[key] = entry
+                # put()'s admission rule: certified entries only, and the
+                # first certificate of a key wins.
+                if (
+                    isinstance(key, str)
+                    and isinstance(entry, dict)
+                    and entry.get("termination") == TERMINATION_CERTIFIED
+                ):
+                    self._entries.setdefault(key, entry)
 
     # ------------------------------------------------------------------ #
     # Lookup / admission

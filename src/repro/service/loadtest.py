@@ -79,15 +79,11 @@ def run_loadtest(
     layout_kind: str = "bottom",
     strategy: str = "bisection",
     deadline: Optional[float] = None,
-    time_limit: Optional[float] = 60.0,
-    queue_limit: Optional[int] = None,
 ) -> dict:
     """Run the load test; returns the bench payload dict.
 
-    The service queue is sized to hold the whole request budget by
-    default, so the measurement is latency under load, not 503 behaviour
-    (pass an explicit *queue_limit* to measure shedding instead —
-    rejections are then counted in ``rejected``).
+    The service queue is sized to hold the whole request budget, so the
+    measurement is latency under load, not 503 behaviour.
     """
     unknown = set(instances) - set(SMT_INSTANCES)
     if unknown:
@@ -107,8 +103,6 @@ def run_loadtest(
             layout_kind=layout_kind,
             strategy=strategy,
             deadline=deadline,
-            time_limit=time_limit,
-            queue_limit=queue_limit,
         )
     )
 
@@ -122,17 +116,15 @@ async def _run_loadtest(
     layout_kind: str,
     strategy: str,
     deadline: Optional[float],
-    time_limit: Optional[float],
-    queue_limit: Optional[int],
 ) -> dict:
     docs = _build_requests(
         requests, instances, seed, layout_kind, strategy, deadline
     )
     running = await start_service(
         jobs=jobs,
-        queue_limit=queue_limit if queue_limit is not None else max(4, requests),
+        queue_limit=max(4, requests),
         default_strategy=strategy,
-        default_time_limit=time_limit,
+        default_time_limit=60.0,
     )
     wall_start = time.monotonic()
     latencies: list[Optional[float]] = [None] * requests

@@ -171,12 +171,16 @@ def check_solver_fields(doc: dict, default_strategy: str) -> None:
     strategy of :data:`repro.core.strategies.STRATEGIES` (the table the
     CLI's ``--strategy`` choices read) and ``sat_backend`` a registered SAT
     backend (``chaos:BACKEND`` included, which inherits BACKEND's
-    availability) that is available on this host; ``time_limit`` and ``deadline`` must be
-    ``null`` or finite non-negative numbers.  Raises ``ValueError``, which
-    the server answers with ``400`` before the request takes a queue slot.
+    availability) that is available on this host; ``chaos_spec`` must be
+    ``null`` or a fault-plan string :meth:`FaultPlan.from_spec
+    <repro.sat.chaos.FaultPlan.from_spec>` parses; ``time_limit`` and
+    ``deadline`` must be ``null`` or finite non-negative numbers.  Raises
+    ``ValueError``, which the server answers with ``400`` before the
+    request takes a queue slot.
     """
     from repro.core.strategies import available_strategies
     from repro.sat.backend import backend_info
+    from repro.sat.chaos import FaultPlan
 
     strategy = doc.get("strategy") or default_strategy
     if strategy not in available_strategies():
@@ -191,6 +195,11 @@ def check_solver_fields(doc: dict, default_strategy: str) -> None:
         info = backend_info(backend)
         if not info.is_available():
             raise ValueError(f"SAT backend {info.name!r} is unavailable here")
+    chaos_spec = doc.get("chaos_spec")
+    if chaos_spec is not None:
+        if not isinstance(chaos_spec, str):
+            raise ValueError(f"chaos_spec must be null or a string, got {chaos_spec!r}")
+        FaultPlan.from_spec(chaos_spec)  # raises ValueError when malformed
     for name in ("time_limit", "deadline"):
         value = doc.get(name)
         if value is None:
@@ -259,25 +268,19 @@ class SchedulingService:
         self,
         jobs: int = 2,
         queue_limit: int = 8,
-        cache: Optional[CertifiedResultCache] = None,
         cache_path: str | os.PathLike | None = None,
         ledger_path: str | os.PathLike | None = None,
         default_strategy: str = "bisection",
         default_time_limit: Optional[float] = None,
         hard_timeout: Optional[float] = None,
         allow_selftest: bool = False,
-        warm: bool = True,
     ):
-        if cache is not None and cache_path is not None:
-            raise ValueError("pass either cache or cache_path, not both")
         self.default_strategy = default_strategy
         self.default_time_limit = default_time_limit
         self.hard_timeout = hard_timeout
         self.allow_selftest = allow_selftest
         self.queue_limit = max(1, queue_limit)
-        self.cache = (
-            cache if cache is not None else CertifiedResultCache(path=cache_path)
-        )
+        self.cache = CertifiedResultCache(path=cache_path)
         self.ledger: Optional[RequestLedger] = (
             RequestLedger(ledger_path) if ledger_path is not None else None
         )
@@ -295,9 +298,7 @@ class SchedulingService:
         # The pool forks its workers eagerly here, before any server
         # thread exists — forking from a single-threaded parent is the
         # only portable-safe moment to do it.
-        self._pool = WorkerPool(
-            jobs, warmup=warm_worker if warm else None, name="service"
-        )
+        self._pool = WorkerPool(jobs, warmup=warm_worker, name="service")
         self._waiting: deque[_ServiceJob] = deque()
         self._inflight: dict[int, _ServiceJob] = {}
         self._loop: Optional[asyncio.AbstractEventLoop] = None

@@ -7,27 +7,21 @@ integer and boolean variables), bit-blasts them with
 (``Solver(backend="flat" | "reference" | "dimacs-subprocess" | ...)``; the
 default is the in-process flat-array CDCL core).  The interface mirrors the
 subset of the Z3 Python API used by the paper's scheduling encoding:
-``add``, ``check`` (with assumptions), ``model``, ``push``/``pop`` and
-per-call resource limits.
+``add``, ``check`` (with assumptions), ``model`` and per-call resource
+limits.
 
 Backends advertise capability flags, and the facade degrades gracefully
 along them: assumptions are refused (not dropped) on a backend without
 ``supports_assumptions``, and the per-check statistics only report the
 counters (and derived throughput rates) the backend actually keeps.
 
-Two operating modes exist:
-
-* **cold-start** (default) — every :meth:`Solver.check` bit-blasts the whole
-  constraint set into a freshly constructed backend instance.  This
-  supports :meth:`Solver.push`/:meth:`Solver.pop` (constraints can be
-  retracted) but throws all learned clauses away between checks.
-* **incremental** (``Solver(incremental=True)``) — one SAT solver and one
-  expression encoder persist across checks; only constraints and variables
-  added since the previous check are encoded.  Learned clauses, variable
-  activities and saved phases carry over, which is what makes the
-  minimum-stage search of :class:`repro.core.scheduler.SMTScheduler` cheap.
-  Constraints are permanent in this mode (``push``/``pop`` raise); queries
-  that must be retractable are expressed through ``check(assumptions=...)``.
+The solver is incremental: one SAT backend and one expression encoder
+persist across checks, and each :meth:`Solver.check` encodes only the
+constraints and variables added since the previous one.  Learned clauses,
+variable activities and saved phases carry over, which is what makes the
+minimum-stage search of :class:`repro.core.scheduler.SMTScheduler` cheap.
+Constraints are permanent; a query that must be retractable is posed
+through ``check(assumptions=...)``.
 """
 
 from __future__ import annotations
@@ -149,42 +143,18 @@ class Model:
 class Solver:
     """Finite-domain SMT solver with a Z3-like interface."""
 
-    def __init__(
-        self,
-        incremental: bool = False,
-        backend: Optional[str] = None,
-        backend_retries: int = DEFAULT_BACKEND_RETRIES,
-        retry_backoff: float = RETRY_BACKOFF_SECONDS,
-    ) -> None:
-        """*backend_retries* bounds how often a
-        :class:`~repro.sat.errors.TransientBackendError` raised by a solve
-        is retried within one :meth:`check` (with deterministic linear
-        backoff of *retry_backoff* seconds per attempt) before escalating;
-        permanent failures are never retried.
-        """
+    def __init__(self, backend: Optional[str] = None) -> None:
         self._constraints: list[T.BoolExpr] = []
-        self._scopes: list[int] = []
         self._variables: list[T.Expr] = []
         self._model: Optional[Model] = None
         self._last_statistics: dict[str, float] = {}
-        self._incremental = incremental
-        self._backend_retries = max(0, backend_retries)
-        self._retry_backoff = max(0.0, retry_backoff)
         self._backend_retries_total = 0
         # Resolve the name eagerly so typos fail at construction time.
         self._backend_name = backend_info(backend).name
-        self._sat_solver: Optional[SatBackend] = None
-        self._encoder: Optional[ExpressionEncoder] = None
+        self._sat_solver: SatBackend = create_backend(self._backend_name)
+        self._encoder = ExpressionEncoder(self._sat_solver)
         self._encoded_constraints = 0
         self._encoded_variables = 0
-        if incremental:
-            self._sat_solver = create_backend(self._backend_name)
-            self._encoder = ExpressionEncoder(self._sat_solver)
-
-    @property
-    def incremental(self) -> bool:
-        """True when the solver keeps its SAT state across checks."""
-        return self._incremental
 
     @property
     def backend(self) -> str:
@@ -223,27 +193,6 @@ class Solver:
         """The currently asserted constraints."""
         return tuple(self._constraints)
 
-    def push(self) -> None:
-        """Open a backtracking scope."""
-        if self._incremental:
-            raise RuntimeError(
-                "push()/pop() are not supported by an incremental solver; "
-                "use check(assumptions=...) for retractable constraints"
-            )
-        self._scopes.append(len(self._constraints))
-
-    def pop(self) -> None:
-        """Discard all constraints added since the matching :meth:`push`."""
-        if self._incremental:
-            raise RuntimeError(
-                "push()/pop() are not supported by an incremental solver; "
-                "use check(assumptions=...) for retractable constraints"
-            )
-        if not self._scopes:
-            raise RuntimeError("pop() without matching push()")
-        length = self._scopes.pop()
-        del self._constraints[length:]
-
     # ------------------------------------------------------------------ #
     # Solving
     # ------------------------------------------------------------------ #
@@ -257,9 +206,9 @@ class Solver:
         """Decide the asserted constraints, optionally under *assumptions*.
 
         *assumptions* are boolean expressions that must hold for this call
-        only; they are not retained.  In incremental mode only the delta
-        since the previous check is bit-blasted and the underlying SAT
-        solver's learned clauses survive between calls.
+        only; they are not retained.  Only the delta since the previous
+        check is bit-blasted, and the SAT backend's learned clauses survive
+        between calls.
 
         *deadline* (a :class:`~repro.core.budget.Deadline`) caps this
         check's effective limits at the remaining whole-search budget:
@@ -280,28 +229,19 @@ class Solver:
             max_conflicts = deadline.compose_conflicts(max_conflicts, time_limit)
             time_limit = deadline.slice(time_limit)
         start = time.monotonic()
-        if self._incremental:
-            sat_solver = self._sat_solver
-            encoder = self._encoder
-            new_variables = self._variables[self._encoded_variables :]
-            new_constraints = self._constraints[self._encoded_constraints :]
-        else:
-            sat_solver = create_backend(self._backend_name)
-            encoder = ExpressionEncoder(sat_solver)
-            new_variables = self._variables
-            new_constraints = self._constraints
-        # Touch every (new) registered variable so that it is present in the
+        sat_solver = self._sat_solver
+        encoder = self._encoder
+        # Touch every new registered variable so that it is present in the
         # model even when no constraint mentions it.
-        for var in new_variables:
+        for var in self._variables[self._encoded_variables :]:
             if isinstance(var, T.BoolVar):
                 encoder.encode_bool(var)
             elif isinstance(var, T.IntVar):
                 encoder.encode_int(var)
-        for constraint in new_constraints:
+        for constraint in self._constraints[self._encoded_constraints :]:
             encoder.assert_expr(constraint)
-        if self._incremental:
-            self._encoded_variables = len(self._variables)
-            self._encoded_constraints = len(self._constraints)
+        self._encoded_variables = len(self._variables)
+        self._encoded_constraints = len(self._constraints)
         assumption_literals = [encoder.encode_bool(a) for a in assumptions]
         if assumption_literals and not getattr(
             sat_solver, "supports_assumptions", True
@@ -372,8 +312,9 @@ class Solver:
 
         A transient failure leaves the backend's clause database intact by
         contract, so the retry re-solves the identical formula.  Retries
-        are bounded (``backend_retries`` per check) and deterministic
-        (linear backoff, no jitter); the pause never overruns the deadline.
+        are bounded (:data:`DEFAULT_BACKEND_RETRIES` per check) and
+        deterministic (linear backoff of :data:`RETRY_BACKOFF_SECONDS`, no
+        jitter); the pause never overruns the deadline.
         Permanent failures and exhausted retry budgets propagate to the
         caller, which degrades to ``termination="backend-error"``.
         """
@@ -387,23 +328,18 @@ class Solver:
                 )
             except TransientBackendError:
                 attempt += 1
-                if attempt > self._backend_retries:
+                if attempt > DEFAULT_BACKEND_RETRIES:
                     raise
                 if deadline is not None and deadline.expired():
                     raise
                 self._backend_retries_total += 1
-                pause = attempt * self._retry_backoff
+                pause = attempt * RETRY_BACKOFF_SECONDS
                 if deadline is not None:
                     remaining = deadline.remaining()
                     if remaining is not None:
                         pause = min(pause, remaining)
                 if pause > 0:
                     time.sleep(pause)
-
-    @property
-    def backend_retries(self) -> int:
-        """Cumulative transient-failure retries across this solver's checks."""
-        return self._backend_retries_total
 
     def statistics(self) -> dict[str, float]:
         """Statistics of the most recent :meth:`check` call."""
@@ -414,7 +350,7 @@ class Solver:
 
         The snapshot uses a fresh encoder emitting straight into a
         :class:`~repro.sat.cnf.CNF` container (the encoder is solver-agnostic
-        — any clause sink works), so it is independent of any incremental
+        — any clause sink works), so it is independent of the solver's
         state, of the configured backend, and safe to call at any time —
         useful for exporting an instance to DIMACS (debugging,
         external-solver experiments) and for the propagation-throughput

@@ -31,9 +31,8 @@ def reduced_problem(layout_kind: str, instance: str) -> SchedulingProblem:
 # --------------------------------------------------------------------------- #
 # SMT facade
 # --------------------------------------------------------------------------- #
-@pytest.mark.parametrize("incremental", [False, True])
-def test_smt_solver_on_the_reference_backend(incremental):
-    solver = Solver(incremental=incremental, backend="reference")
+def test_smt_solver_on_the_reference_backend():
+    solver = Solver(backend="reference")
     assert solver.backend == "reference"
     x = solver.int_var("x", 0, 7)
     solver.add(x + IntConst(2) == 5)
@@ -52,7 +51,7 @@ def test_smt_solver_rejects_unknown_backend():
 def test_smt_solver_refuses_assumptions_on_incapable_backends():
     """Assumptions are semantics, not heuristics: a backend that ignored
     them would certify wrong optima, so the facade must fail loudly."""
-    solver = Solver(incremental=True)
+    solver = Solver()
     flag = solver.bool_var("flag")
     solver.add(flag | ~flag)
     # Simulate a backend advertising no assumption support.
@@ -63,7 +62,7 @@ def test_smt_solver_refuses_assumptions_on_incapable_backends():
 
 
 def test_smt_solver_on_the_subprocess_backend(fake_sat_solver):
-    solver = Solver(incremental=True, backend="dimacs-subprocess")
+    solver = Solver(backend="dimacs-subprocess")
     x = solver.int_var("x", 0, 7)
     flag = solver.bool_var("flag")
     solver.add(x == 5)

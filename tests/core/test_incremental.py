@@ -10,12 +10,12 @@ search.
 import pytest
 
 from repro.arch import reduced_layout
-from repro.core.encoding import encode_incremental_instance, encode_problem
-from repro.core.problem import SchedulingProblem
+from repro.core.encoding import encode_incremental_problem, encode_problem
+from repro.core.problem import SchedulingProblem, problem_from_document
 from repro.core.report import TERMINATION_CERTIFIED, TERMINATION_INFEASIBLE
 from repro.core.scheduler import SMTScheduler
 from repro.core.validator import validate_schedule
-from repro.evaluation.runner import SMT_INSTANCES
+from repro.evaluation.runner import SMT_INSTANCES, smt_document
 from repro.qec import get_code
 from repro.qec.state_prep import state_preparation_circuit
 from repro.smt import CheckResult, Solver
@@ -140,16 +140,40 @@ def test_incremental_capacity_rebuild_still_optimal(monkeypatch):
     validate_schedule(schedule, require_shielding=True)
 
 
+@pytest.mark.parametrize(
+    "instance_name, strategy, size",
+    [
+        ("triangle", "linear", (2_834, 10_185, 336)),
+        ("triangle", "bisection", (2_816, 10_055, 272)),
+        ("chain-2", "linear", (1_626, 5_624, 8)),
+    ],
+)
+def test_search_formula_sizes_are_pinned(instance_name, strategy, size):
+    """Final formula size and summed conflicts of a search on the bottom
+    smoke layout; the search is deterministic, so these repeat exactly."""
+    problem = problem_from_document(smt_document(instance_name, "bottom"))
+    report = SMTScheduler(strategy=strategy).schedule(problem)
+    stats = report.statistics
+    assert (stats["sat_variables"], stats["sat_clauses"], stats["sat_conflicts"]) == size
+
+
+def test_fixed_horizon_check_decides_the_exported_formula():
+    """encode_problem's check runs on the same solver the search uses and
+    decides exactly the formula its CNF export holds."""
+    problem = problem_from_document(smt_document("triangle", "bottom"))
+    instance = encode_problem(problem, 4)
+    cnf = instance.solver.to_cnf()
+    assert instance.check() is CheckResult.UNSAT
+    assert instance.statistics()["sat_variables"] == cnf.num_vars == 2_210
+
+
 # --------------------------------------------------------------------------- #
 # Instance-level mechanics
 # --------------------------------------------------------------------------- #
 def test_incremental_instance_extends_in_place():
-    architecture = tiny_layout("bottom")
-    instance = encode_incremental_instance(
-        architecture, 3, [(0, 1), (1, 2)], num_stages=2, max_stages=6
-    )
+    problem = SchedulingProblem.from_gates(tiny_layout("bottom"), 3, [(0, 1), (1, 2)])
+    instance = encode_incremental_problem(problem, num_stages=2, max_stages=6)
     solver = instance.solver
-    assert solver.incremental
     assert instance.check(time_limit=300) is CheckResult.UNSAT
     clauses_after_first = solver.statistics()["sat_clauses"]
     instance.extend_to(3)
@@ -164,9 +188,8 @@ def test_incremental_instance_extends_in_place():
 
 def test_incremental_instance_decides_smaller_horizons_in_place():
     """A grown instance still decides earlier horizons via assumptions."""
-    instance = encode_incremental_instance(
-        tiny_layout("bottom"), 3, [(0, 1), (1, 2)], num_stages=4, max_stages=6
-    )
+    problem = SchedulingProblem.from_gates(tiny_layout("bottom"), 3, [(0, 1), (1, 2)])
+    instance = encode_incremental_problem(problem, num_stages=4, max_stages=6)
     assert instance.check(time_limit=300, horizon=4) is CheckResult.SAT
     assert instance.check(time_limit=300, horizon=2) is CheckResult.UNSAT
     assert instance.check(time_limit=300, horizon=3) is CheckResult.SAT
@@ -180,28 +203,26 @@ def test_incremental_instance_decides_smaller_horizons_in_place():
 
 
 def test_incremental_instance_rejects_growth_beyond_capacity():
-    instance = encode_incremental_instance(
-        tiny_layout("none"), 2, [(0, 1)], num_stages=1, max_stages=2
-    )
+    problem = SchedulingProblem.from_gates(tiny_layout("none"), 2, [(0, 1)])
+    instance = encode_incremental_problem(problem, num_stages=1, max_stages=2)
     instance.extend_to(2)
     with pytest.raises(ValueError):
         instance.extend_to(3)
 
 
 def test_extend_to_is_idempotent():
-    instance = encode_incremental_instance(
-        tiny_layout("none"), 2, [(0, 1)], num_stages=1, max_stages=4
-    )
+    problem = SchedulingProblem.from_gates(tiny_layout("none"), 2, [(0, 1)])
+    instance = encode_incremental_problem(problem, num_stages=1, max_stages=4)
     instance.extend_to(1)
     assert instance.num_stages == 1
     assert instance.check(time_limit=300) is CheckResult.SAT
 
 
 # --------------------------------------------------------------------------- #
-# Incremental SMT solver facade
+# SMT solver facade
 # --------------------------------------------------------------------------- #
 def test_incremental_solver_reuses_state_across_checks():
-    solver = Solver(incremental=True)
+    solver = Solver()
     x = solver.int_var("x", 0, 7)
     flag = solver.bool_var("flag")
     solver.add(flag.implies(x >= 5))
@@ -217,15 +238,7 @@ def test_incremental_solver_reuses_state_across_checks():
     assert solver.check().is_sat()
 
 
-def test_incremental_solver_rejects_push_pop():
-    solver = Solver(incremental=True)
-    with pytest.raises(RuntimeError):
-        solver.push()
-    with pytest.raises(RuntimeError):
-        solver.pop()
-
-
-def test_non_incremental_solver_supports_assumptions_too():
+def test_solver_decides_under_assumptions():
     solver = Solver()
     a = solver.bool_var("a")
     b = solver.bool_var("b")

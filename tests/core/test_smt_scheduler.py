@@ -8,7 +8,7 @@ decides these within seconds.
 import pytest
 
 from repro.arch import reduced_layout
-from repro.core.encoding import encode_instance
+from repro.core.encoding import encode_problem
 from repro.core.problem import SchedulingProblem
 from repro.core.scheduler import SMTScheduler
 from repro.core.structured import StructuredScheduler
@@ -28,7 +28,7 @@ def tiny_problem(kind, num_qubits, gates):
 # Fixed-stage encodings
 # --------------------------------------------------------------------------- #
 def test_single_gate_single_stage_is_sat():
-    instance = encode_instance(tiny_layout("none"), 2, [(0, 1)], num_stages=1)
+    instance = encode_problem(tiny_problem("none", 2, [(0, 1)]), num_stages=1)
     assert instance.check().is_sat()
     schedule = instance.extract_schedule()
     validate_schedule(schedule, require_shielding=False)
@@ -37,19 +37,19 @@ def test_single_gate_single_stage_is_sat():
 
 
 def test_two_gates_sharing_a_qubit_need_two_stages():
-    layout = tiny_layout("none")
-    too_small = encode_instance(layout, 3, [(0, 1), (1, 2)], num_stages=1)
+    problem = tiny_problem("none", 3, [(0, 1), (1, 2)])
+    too_small = encode_problem(problem, num_stages=1)
     assert too_small.check().is_unsat()
-    enough = encode_instance(layout, 3, [(0, 1), (1, 2)], num_stages=2)
+    enough = encode_problem(problem, num_stages=2)
     assert enough.check().is_sat()
 
 
 def test_shielding_requires_extra_stage_on_zoned_layout():
     """The paper's Fig. 2 effect: the zoned layout needs a transfer stage."""
-    layout = tiny_layout("bottom")
-    two_stages = encode_instance(layout, 3, [(0, 1), (1, 2)], num_stages=2)
+    problem = tiny_problem("bottom", 3, [(0, 1), (1, 2)])
+    two_stages = encode_problem(problem, num_stages=2)
     assert two_stages.check().is_unsat()
-    three_stages = encode_instance(layout, 3, [(0, 1), (1, 2)], num_stages=3)
+    three_stages = encode_problem(problem, num_stages=3)
     assert three_stages.check().is_sat()
     schedule = three_stages.extract_schedule()
     validate_schedule(schedule)
@@ -59,7 +59,7 @@ def test_shielding_requires_extra_stage_on_zoned_layout():
 
 
 def test_disjoint_gates_share_a_stage():
-    instance = encode_instance(tiny_layout("none"), 4, [(0, 1), (2, 3)], num_stages=1)
+    instance = encode_problem(tiny_problem("none", 4, [(0, 1), (2, 3)]), num_stages=1)
     assert instance.check().is_sat()
     schedule = instance.extract_schedule()
     assert schedule.num_rydberg_stages == 1
@@ -68,13 +68,11 @@ def test_disjoint_gates_share_a_stage():
 
 def test_invalid_gate_rejected():
     with pytest.raises(ValueError):
-        encode_instance(tiny_layout("none"), 2, [(0, 0)], num_stages=1)
-    with pytest.raises(ValueError):
         SchedulingProblem.from_gates(tiny_layout("none"), 2, [(0, 0)])
 
 
 def test_unknown_result_with_tiny_conflict_budget():
-    instance = encode_instance(tiny_layout("bottom"), 3, [(0, 1), (1, 2)], num_stages=3)
+    instance = encode_problem(tiny_problem("bottom", 3, [(0, 1), (1, 2)]), num_stages=3)
     result = instance.check(max_conflicts=1)
     assert result in (CheckResult.UNKNOWN, CheckResult.SAT, CheckResult.UNSAT)
 

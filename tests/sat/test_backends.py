@@ -17,7 +17,6 @@ from test_sat_solver import brute_force_satisfiable, php_cnf
 from repro.sat import CNF, CDCLSolver, ReferenceCDCLSolver, SolveResult
 from repro.sat.backend import (
     DEFAULT_BACKEND,
-    ChaosBackend,
     SOLVER_BINARY_ENV,
     DimacsSubprocessBackend,
     SatBackend,
@@ -60,15 +59,6 @@ def test_builtin_backends_are_registered():
     assert "dimacs-subprocess" in names
     assert "ipasir" in names
     assert DEFAULT_BACKEND == "flat"
-
-
-def test_create_backend_filters_options_by_declaration():
-    # Declared options reach the factory; undeclared ones and Nones are
-    # dropped.
-    assert isinstance(create_backend("flat", bogus_option=3), CDCLSolver)
-    chaos = create_backend("chaos", inner="reference", plan=None, bogus_option=3)
-    assert isinstance(chaos, ChaosBackend)
-    assert isinstance(chaos.inner, ReferenceCDCLSolver)
 
 
 def test_create_backend_instantiates_the_registered_classes():

@@ -99,6 +99,26 @@ def test_cache_reload_tolerates_torn_tail(tmp_path):
     reloaded.close()
 
 
+def test_cache_reload_keeps_the_first_certificate(tmp_path):
+    # Reload applies put()'s rule: the first certified line of a key wins,
+    # and a non-certified line is never admitted.
+    path = tmp_path / "cache.jsonl"
+    lines = [
+        {"key": KEY_A, "entry": _certified(num_stages=4)},
+        {"key": KEY_A, "entry": _certified(num_stages=9)},
+        {"key": KEY_B, "entry": {**_certified(), "termination": "deadline"}},
+    ]
+    path.write_text(
+        "".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8"
+    )
+
+    reloaded = CertifiedResultCache(path=path)
+    assert reloaded.get(KEY_A)["num_stages"] == 4
+    assert KEY_B not in reloaded
+    assert len(reloaded) == 1
+    reloaded.close()
+
+
 def test_cache_file_lines_are_valid_json(tmp_path):
     path = tmp_path / "cache.jsonl"
     cache = CertifiedResultCache(path=path)

@@ -491,6 +491,8 @@ def test_invalid_documents_get_400():
         {"sat_backend": 5},
         {"time_limit": float("inf")},
         {"deadline": True},
+        {"sat_backend": "chaos:flat", "chaos_spec": "bogus"},
+        {"sat_backend": "chaos:flat", "chaos_spec": 12},
     ],
     ids=[
         "unknown-strategy",
@@ -503,6 +505,8 @@ def test_invalid_documents_get_400():
         "non-string-backend",
         "infinite-time-limit",
         "boolean-deadline",
+        "malformed-chaos-spec",
+        "non-string-chaos-spec",
     ],
 )
 def test_bad_solver_fields_get_400_before_queueing(solver_fields):
@@ -548,6 +552,8 @@ def test_admission_accepts_every_runnable_solver_field():
         {},
         {"strategy": None, "sat_backend": None, "deadline": None},
         {"strategy": "linear", "sat_backend": "chaos:flat"},
+        {"sat_backend": "chaos:flat", "chaos_spec": "seed=7,transient=1.0,consecutive=1"},
+        {"chaos_spec": None},
         {"strategy": "portfolio", "time_limit": 0, "deadline": 2.5},
     ):
         check_solver_fields(fields, "bisection")

@@ -86,24 +86,6 @@ def test_ite_integer():
     assert solver.model()[y] == 4
 
 
-def test_push_pop():
-    solver = Solver()
-    x = solver.int_var("x", 0, 5)
-    solver.add(x > 1)
-    solver.push()
-    solver.add(x > 10)
-    assert solver.check().is_unsat()
-    solver.pop()
-    assert solver.check().is_sat()
-    assert solver.model()[x] > 1
-
-
-def test_pop_without_push_raises():
-    solver = Solver()
-    with pytest.raises(RuntimeError):
-        solver.pop()
-
-
 def test_model_before_check_raises():
     solver = Solver()
     solver.int_var("x", 0, 1)
@@ -337,14 +319,14 @@ def domain(bounds):
 
 @pytest.mark.parametrize("bounds", DOMAINS)
 def test_enumerated_domain_is_exactly_the_declared_range(bounds):
-    solver = Solver(incremental=True)
+    solver = Solver()
     x = solver.int_var("x", *bounds)
     assert enumerate_models(solver, [x]) == {(v,) for v in domain(bounds)}
 
 
 @pytest.mark.parametrize("bounds", DOMAINS)
 def test_negation_and_abs_enumerate_like_python(bounds):
-    solver = Solver(incremental=True)
+    solver = Solver()
     x = solver.int_var("x", *bounds)
     n = solver.int_var("n", -8, 8)
     a = solver.int_var("a", 0, 8)
@@ -357,7 +339,7 @@ def test_negation_and_abs_enumerate_like_python(bounds):
 @pytest.mark.parametrize("op", sorted(RELATIONS))
 @pytest.mark.parametrize("xb,yb", DOMAIN_PAIRS)
 def test_comparisons_enumerate_like_python(op, xb, yb):
-    solver = Solver(incremental=True)
+    solver = Solver()
     x = solver.int_var("x", *xb)
     y = solver.int_var("y", *yb)
     solver.add(RELATIONS[op](x, y))
@@ -370,7 +352,7 @@ def test_comparisons_enumerate_like_python(op, xb, yb):
 @pytest.mark.parametrize("op", sorted(ARITHMETIC))
 @pytest.mark.parametrize("xb,yb", DOMAIN_PAIRS)
 def test_arithmetic_enumerates_like_python(op, xb, yb):
-    solver = Solver(incremental=True)
+    solver = Solver()
     x = solver.int_var("x", *xb)
     y = solver.int_var("y", *yb)
     z = solver.int_var("z", -16, 16)
@@ -387,7 +369,7 @@ def test_comparisons_against_constants_enumerate_like_python(bounds):
     for op, relation in RELATIONS.items():
         for c in range(lo - 2, hi + 3):
             for flipped in (False, True):
-                solver = Solver(incremental=True)
+                solver = Solver()
                 x = solver.int_var("x", lo, hi)
                 solver.add(relation(c, x) if flipped else relation(x, c))
                 expected = {
@@ -407,3 +389,15 @@ def test_bottom_triangle_encoding_size_is_pinned():
 
     cnf = scheduling_cnf(layout="bottom", instance="triangle", num_stages=4)
     assert (cnf.num_vars, cnf.num_clauses) == (2_210, 8_004)
+
+
+@pytest.mark.parametrize(
+    "instance, num_stages, size",
+    [("triangle", 5, (2_805, 10_181)), ("chain-2", 3, (1_609, 5_796))],
+)
+def test_fixed_horizon_encoding_sizes_are_pinned(instance, num_stages, size):
+    """More fixed-S formulas on the bottom layout, beside the pin above."""
+    from repro.sat.bench import scheduling_cnf
+
+    cnf = scheduling_cnf(layout="bottom", instance=instance, num_stages=num_stages)
+    assert (cnf.num_vars, cnf.num_clauses) == size
