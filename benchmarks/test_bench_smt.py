@@ -7,8 +7,9 @@ the benchmark also cross-checks the optimal stage counts against the
 architecture's shielding behaviour (storage zone => extra transfer stage),
 pits the incremental minimum-stage search against a fresh one-shot
 encoding per horizon,
-certifies that bound-driven bisection reaches the same optima while probing
-strictly fewer stage horizons on multi-horizon instances, races the
+certifies that both horizon orders reach the same optima without ever
+probing the structured witness's own stage count, pins linear's paper-tier
+search on the Steane code, races the
 flat-array CDCL core against the preserved seed implementation
 (propagation-throughput microbench), and checks the portfolio strategy
 against the single-strategy field.
@@ -126,11 +127,14 @@ def test_bench_smt_incremental_beats_coldstart(benchmark):
     )
 
 
-def test_bench_smt_bisection_solves_fewer_horizons(benchmark):
+def test_bench_smt_orders_stop_below_the_witness(benchmark):
     """Bound-driven search under the v2 analytic bounds: cells whose
     interval closes analytically (LB == UB) certify with ZERO probes, open
     cells stay within the binary-search budget ``ceil(log2(width + 1))``,
-    and the whole suite costs bisection fewer probes than linear's walk."""
+    and neither order probes at or above the structured witness.  Linear
+    walks up from the lower bound and stops at the optimum or just below
+    the witness, so across the suite it probes fewer horizons than
+    bisection, whose midpoint probes above the optimum."""
 
     def run(strategy):
         reports = {}
@@ -154,11 +158,16 @@ def test_bench_smt_bisection_solves_fewer_horizons(benchmark):
         assert linear.schedule.num_stages == bisection.schedule.num_stages, key
         assert bisection.lower_bound == linear.lower_bound
         assert bisection.upper_bound is not None
+        assert bisection.upper_bound == linear.upper_bound
         assert bisection.upper_bound >= bisection.schedule.num_stages
+        for report in (linear, bisection):
+            assert all(h < report.upper_bound for h in report.stages_tried), key
+        last = min(linear.schedule.num_stages, linear.upper_bound - 1)
+        assert linear.stages_tried == list(range(linear.lower_bound, last + 1)), key
         width = bisection.upper_bound - bisection.lower_bound
         if width == 0:
             closed_cells += 1
-            assert bisection.num_horizons == 0, (
+            assert bisection.num_horizons == linear.num_horizons == 0, (
                 f"{key}: closed interval still probed {bisection.stages_tried}"
             )
         else:
@@ -170,10 +179,33 @@ def test_bench_smt_bisection_solves_fewer_horizons(benchmark):
     assert closed_cells > 0, "suite lost its analytically-closed instances"
     linear_total = sum(r.num_horizons for r in results["linear"].values())
     bisection_total = sum(r.num_horizons for r in results["bisection"].values())
-    assert bisection_total < linear_total, (
-        f"bisection probed {bisection_total} horizons across the suite vs "
-        f"linear's {linear_total}"
+    assert linear_total < bisection_total, (
+        f"linear probed {linear_total} horizons across the suite vs "
+        f"bisection's {bisection_total}"
     )
+
+
+def test_bench_smt_linear_pins_steane_paper_labels(benchmark):
+    """Linear on the Steane |0>_L circuit in the paper's labels on Layout 2:
+    the witness bounds the interval at 12 stages, and the search refutes 3
+    and 4 and certifies 5 on one incremental instance.  The flat core is
+    deterministic, so probes, conflicts and formula size repeat exactly."""
+    from repro.arch import bottom_storage_layout
+    from repro.qec import get_code
+    from repro.qec.state_prep import state_preparation_circuit
+
+    prep = state_preparation_circuit(get_code("steane"))
+    problem = SchedulingProblem.from_gates(
+        bottom_storage_layout(), prep.num_qubits, prep.cz_gates
+    )
+    report = benchmark.pedantic(
+        SMTScheduler(strategy="linear").schedule, args=(problem,), rounds=1, iterations=1
+    )
+    assert report.optimal and report.schedule.num_stages == 5
+    assert report.stages_tried == [3, 4, 5]
+    assert report.upper_bound == 12
+    assert report.statistics["sat_conflicts"] == 4_335
+    assert report.statistics["sat_variables"] == 18_878
 
 
 # --------------------------------------------------------------------------- #

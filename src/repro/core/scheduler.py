@@ -6,12 +6,14 @@ searches over ``S`` with a *strategy*
 (:mod:`repro.core.strategies`):
 
 * ``linear`` (default) — the paper's Sec. V-A procedure: increment ``S``
-  from the analytic lower bound until the first satisfiable horizon.
+  from the analytic lower bound until the first satisfiable horizon, or
+  up to one below the structured scheduler's certified upper bound, whose
+  schedule is then the answer.
 * ``bisection`` — binary search between the
   :class:`~repro.core.problem.SchedulingProblem` IR's analytic lower bound
-  and the structured scheduler's certified upper bound; solves strictly
-  fewer horizons than ``linear`` whenever the optimum sits more than a
-  couple of steps above the lower bound.
+  and the same certified upper bound; solves fewer horizons than
+  ``linear`` whenever the optimum sits more than a couple of steps above
+  the lower bound.
 * ``portfolio`` — races ``bisection``/``linear`` and one bisection
   variant per extra usable SAT backend across worker processes; the first
   certified optimum wins, losers are terminated, and the winning
@@ -20,8 +22,9 @@ searches over ``S`` with a *strategy*
   fan-out.
 
 ``linear`` and ``bisection`` differ only in the horizon they pick next:
-one driver (:func:`repro.core.strategies.search.search`) runs the probe
-loop and the graceful-degradation contract for both.  Its probes share
+one driver (:func:`repro.core.strategies.search.search`) computes the
+structured witness before the first probe and runs the probe loop and the
+graceful-degradation contract for both.  Its probes share
 one growable :class:`~repro.core.encoding.IncrementalInstance`
 (assumption-guarded activation literals, learned clauses survive).
 

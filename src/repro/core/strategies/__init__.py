@@ -3,18 +3,20 @@
 :data:`STRATEGIES` names every strategy the package offers:
 
 * ``linear`` — iterative deepening from the analytic lower bound (the
-  paper's Sec. V-A procedure and the seed's behaviour).
+  paper's Sec. V-A procedure), stopping below the structured scheduler's
+  certified upper bound.
 * ``bisection`` — binary search between the IR's analytic lower bound and
-  the structured scheduler's certified upper bound.
+  the same certified upper bound.
 * ``portfolio`` — races the single strategies (plus one bisection variant
   per extra usable SAT backend) across worker processes; the first
   certified optimum wins and the losers are cancelled.
 
 ``linear`` and ``bisection`` are two horizon orders over one driver,
 :func:`repro.core.strategies.search.search`, which owns the probe loop and
-the graceful-degradation contract (deadline checks between probes,
-backend failures, sound bound lifting, the structured-witness fallback
-and the termination verdict).  Every probe runs on one growable
+the graceful-degradation contract (the structured witness computed
+before the first probe, deadline checks between probes, backend failures,
+sound bound lifting, the witness as fallback and the termination
+verdict).  Every probe runs on one growable
 incremental instance (:class:`~repro.core.strategies.base.SearchContext`).
 
 The table is the one place a strategy name exists: :func:`get_strategy`,

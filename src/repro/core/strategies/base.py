@@ -31,9 +31,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.schedule import Schedule
 
 #: Extra stage headroom reserved by a fresh incremental instance beyond the
-#: first horizon it is asked to decide.  A small value keeps the up-front
-#: ``gate_stage`` bit-vectors narrow (their domain covers the full capacity);
-#: searches that outgrow the capacity rebuild the instance with double the
+#: first horizon it is asked to decide, capped at the largest horizon the
+#: search can probe (one below the structured witness's stage count, and
+#: the stage budget).  A small value keeps the up-front ``gate_stage``
+#: bit-vectors narrow (their domain covers the full capacity); searches
+#: that outgrow the capacity rebuild the instance with double the
 #: headroom, which costs one full re-encode and is rare in practice.
 _CAPACITY_HEADROOM = 7
 
@@ -76,11 +78,15 @@ class SearchContext:
         self,
         problem: SchedulingProblem,
         limits: SearchLimits,
-        capacity: Optional[int] = None,
+        upper_bound: Optional[int] = None,
     ) -> None:
         self.problem = problem
         self.limits = limits
-        self._fixed_capacity = capacity
+        # A schedule of ``upper_bound`` stages is in hand (the structured
+        # witness), so no horizon at or above it is ever probed.
+        self._ceiling = limits.max_stages
+        if upper_bound is not None:
+            self._ceiling = min(self._ceiling, upper_bound - 1)
         self._headroom = _CAPACITY_HEADROOM
         self._instance: Optional[IncrementalInstance] = None
 
@@ -126,9 +132,7 @@ class SearchContext:
             # Capacity exhausted: rebuild with more headroom (one cold
             # re-encode; learned clauses of the old instance are dropped).
             self._headroom *= 2
-        capacity = self._fixed_capacity
-        if capacity is None or capacity < horizon:
-            capacity = min(self.limits.max_stages, horizon + self._headroom)
+        capacity = min(self._ceiling, horizon + self._headroom)
         instance = encode_incremental_problem(
             self.problem,
             num_stages=horizon,

@@ -5,18 +5,19 @@ extends to ``S+1`` by appending a do-nothing transfer stage), so the
 optimum is found by probing horizons inside an interval ``[low, high]``:
 an UNSAT probe at ``S`` eliminates every horizon ``<= S``, a SAT probe
 every horizon ``> S``.  :func:`search` runs that loop once for every
-strategy; a strategy only picks the next horizon inside the interval:
+strategy.  Before the first probe it holds a *certified* upper bound: the
+stage count ``UB`` of the constructive
+:class:`~repro.core.structured.StructuredScheduler` schedule (the
+*witness*), feasible by construction and validated before use.  ``UB`` is
+never probed, since a schedule of that length is in hand; when it already
+meets the analytic lower bound, the optimum is certified without a single
+SMT probe and the witness itself is returned.  A strategy only picks the
+next horizon inside the interval:
 
 * ``linear`` (:class:`LinearStrategy`) — ``pick(low, high) = low``: the
   paper's Sec. V-A procedure, iterative deepening from the analytic lower
-  bound until the first satisfiable horizon.
-* ``bisection`` (:class:`BisectionStrategy`) — the midpoint, between the
-  IR's analytic lower bound and a *certified* upper bound: the stage count
-  of the constructive :class:`~repro.core.structured.StructuredScheduler`
-  schedule, feasible by construction, validated before use and computed
-  before the first probe.  When the interval is degenerate (the witness
-  already meets the lower bound), the optimum is certified without a
-  single SMT probe and the witness itself is returned.
+  bound until the first satisfiable horizon or ``UB - 1``.
+* ``bisection`` (:class:`BisectionStrategy`) — the midpoint.
 
 The driver also owns the graceful-degradation contract: a deadline
 expiry or a permanent backend failure never raises — the report carries a
@@ -60,61 +61,41 @@ from repro.smt import CheckResult
 UNSAT_PROBE_SOURCE = "unsat-probes"
 
 
-class LinearStrategy:
-    """Try S = lower bound, lower bound + 1, ... until SAT."""
-
-    name = "linear"
-
-    def run(
-        self,
-        problem: SchedulingProblem,
-        limits: SearchLimits,
-        metadata: dict | None = None,
-    ) -> SchedulerReport:
-        return search(problem, limits, metadata, name=self.name, pick=_lowest)
-
-
-class BisectionStrategy:
-    """Binary search on S between the analytic LB and the structured UB.
-
-    An already-computed (and validated) structured *witness* can be injected
-    to skip the redundant constructive-scheduling pass — the portfolio's
-    inline path computes it during triage and hands it over.
-    """
-
-    name = "bisection"
-
-    def __init__(self, witness: Optional[Schedule] = None) -> None:
-        self._witness = witness
-
-    def run(
-        self,
-        problem: SchedulingProblem,
-        limits: SearchLimits,
-        metadata: dict | None = None,
-    ) -> SchedulerReport:
-        return search(
-            problem,
-            limits,
-            metadata,
-            name=self.name,
-            pick=_midpoint,
-            witness=self._upper_bound_schedule,
-        )
-
-    def _upper_bound_schedule(self, problem: SchedulingProblem) -> Optional[Schedule]:
-        """A validated constructive schedule, or ``None`` when unavailable."""
-        if self._witness is not None:
-            return self._witness
-        return structured_upper_bound(problem)
-
-
 def _lowest(low: int, high: int) -> int:
     return low
 
 
 def _midpoint(low: int, high: int) -> int:
     return (low + high) // 2
+
+
+class _HorizonOrder:
+    """A strategy: one horizon order, *pick*, over :func:`search`."""
+
+    name: str
+    pick: Callable[[int, int], int]
+
+    def run(
+        self,
+        problem: SchedulingProblem,
+        limits: SearchLimits,
+        metadata: dict | None = None,
+    ) -> SchedulerReport:
+        return search(problem, limits, metadata, name=self.name, pick=self.pick)
+
+
+class LinearStrategy(_HorizonOrder):
+    """Try S = lower bound, lower bound + 1, ... below the structured UB."""
+
+    name = "linear"
+    pick = staticmethod(_lowest)
+
+
+class BisectionStrategy(_HorizonOrder):
+    """Binary search on S between the analytic LB and the structured UB."""
+
+    name = "bisection"
+    pick = staticmethod(_midpoint)
 
 
 def search(
@@ -124,17 +105,15 @@ def search(
     *,
     name: str,
     pick: Callable[[int, int], int],
-    witness: Optional[Callable[[SchedulingProblem], Optional[Schedule]]] = None,
+    witness: Optional[Schedule] = None,
 ) -> SchedulerReport:
     """Find the minimum stage count of *problem* by probing horizons.
 
     *pick* chooses each probe inside the open interval ``[low, high]`` (and
-    must return ``low`` when ``low == high``).
-    *witness*, when given, computes the structured upper bound before the
-    first probe: the interval then closes at the witness's stage count,
-    which is never probed (the witness is a schedule of that length in
-    hand).  Without it the interval closes at ``limits.max_stages`` and the
-    witness is computed only if the search degrades without a schedule.
+    must return ``low`` when ``low == high``).  *witness* is
+    :func:`structured_upper_bound` of *problem* when the caller already
+    holds it (the portfolio computes it once for all its configurations);
+    otherwise it is computed here, before the first probe.
     """
     start = time.monotonic()
     report = analytic_report(problem, name)
@@ -146,7 +125,7 @@ def search(
     # extractions carry the problem metadata just like the witness does,
     # and the strategy is recorded either way.
     merged = {"strategy": name, **problem.metadata, **(metadata or {})}
-    bound = witness(problem) if witness is not None else None
+    bound = witness if witness is not None else structured_upper_bound(problem)
     if bound is not None:
         report.upper_bound = bound.num_stages
         report.upper_bound_source = witness_source(bound)
@@ -154,11 +133,7 @@ def search(
     # stage budget or a probe came back SAT; ``high`` is then never probed.
     in_hand = bound is not None and bound.num_stages <= limits.max_stages
     high = bound.num_stages if in_hand else limits.max_stages
-    # With a witness in hand the largest horizon ever probed is
-    # ``high - 1``, so the capacity is known exactly and no
-    # headroom/rebuild cycle is needed.
-    capacity = max(high - 1, 1) if in_hand else None
-    context = SearchContext(problem, limits, capacity=capacity)
+    context = SearchContext(problem, limits, report.upper_bound)
 
     # The search cursor ``low`` advances past UNSAT *and* UNKNOWN horizons
     # (an undecided horizon may hide the optimum, so the search continues
@@ -212,9 +187,6 @@ def search(
             report.optimal = True
             report.termination = TERMINATION_CERTIFIED
     else:
-        if witness is None and report.schedule is None:
-            # No witness was computed up front; the fallback needs one now.
-            bound = structured_upper_bound(problem)
         degrade(
             report,
             termination or TERMINATION_DEADLINE,
@@ -288,8 +260,8 @@ def degrade(
 def structured_upper_bound(problem: SchedulingProblem) -> Optional[Schedule]:
     """The tightest validated constructive schedule of *problem*, or ``None``.
 
-    Shared by the bound-driven strategies (bisection, portfolio), the
-    degradation fallback, the CLI and the service's witness event: a
+    Shared by the search driver (which also falls back on it), the
+    portfolio's triage, the CLI and the service's witness event: a
     structured schedule is feasible by construction and validated before
     use, so its stage count is a certified upper bound on the optimum.  Two
     choreographies compete:

@@ -61,7 +61,7 @@ pair beamed ``k`` times), and 4-cycles (``k = 2``); anything else raises
 ``ValueError`` and the caller falls back to the storage choreography or
 reports no upper bound.  When it applies, the schedule has exactly ``k``
 stages — which meets the per-qubit-load lower bound, so the witness is
-*optimal* and bound-driven search certifies it without any SMT probe.
+*optimal* and the search certifies it without any SMT probe.
 
 The airborne witness is also valid (and often much tighter) on storage
 architectures: a schedule with no idle-qubit exposure trivially satisfies

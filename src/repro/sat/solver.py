@@ -56,6 +56,10 @@ _UNASSIGNED = 2
 #: Arena slots before a clause's literals: [size, learned, lbd, activity].
 _HDR = 4
 
+#: Longest clause whose duplicate test scans the clause list; longer ones
+#: keep a set.
+_SHORT_CLAUSE = 8
+
 class SolveResult(enum.Enum):
     """Outcome of a :meth:`CDCLSolver.solve` call."""
 
@@ -221,12 +225,9 @@ class CDCLSolver:
         self._activity.append(0.0)
         self._saved_phase.append(False)
         self._seen.append(False)
-        self._values.append(_UNASSIGNED)
-        self._values.append(_UNASSIGNED)
-        self._watches.append([])
-        self._watches.append([])
-        self._bin_watches.append([])
-        self._bin_watches.append([])
+        self._values.extend((_UNASSIGNED, _UNASSIGNED))
+        self._watches += ([], [])
+        self._bin_watches += ([], [])
         self._heap_pos.append(-1)
         self._heap_insert(self._num_vars)
         return self._num_vars
@@ -240,40 +241,57 @@ class CDCLSolver:
         trivially unsatisfiable (empty clause or conflicting units)."""
         if not self._ok:
             return False
-        seen: set[int] = set()
+        if not isinstance(literals, (list, tuple)):
+            literals = list(literals)
+        values, at_root = self._values, not self._trail_lim
         clause: list[int] = []
+        # Duplicate and tautology tests scan the clause itself; a long clause
+        # keeps a set instead, so the test does not grow quadratically.
+        members = set() if len(literals) > _SHORT_CLAUSE else clause
         for lit in literals:
-            if lit == 0:
+            if not lit:
                 raise ValueError("0 is not a valid literal")
-            self._ensure_var(abs(lit))
-            if -lit in seen:
+            var = lit if lit > 0 else -lit
+            enc = (var << 1) | (lit < 0)
+            if var > self._num_vars:
+                self._ensure_var(var)
+            if enc ^ 1 in members:
                 return True  # tautology
-            if lit in seen:
+            if enc in members:
                 continue
-            seen.add(lit)
-            enc = (abs(lit) << 1) | (1 if lit < 0 else 0)
             # Drop literals already false at level 0, ignore clause if a
             # literal is already true at level 0.
-            if not self._trail_lim:
-                val = self._values[enc]
+            if at_root:
+                val = values[enc]
                 if val == 1:
                     return True
                 if val == 0:
                     continue
             clause.append(enc)
-        if not clause:
+            if members is not clause:
+                members.add(enc)
+        size = len(clause)
+        if not size:
             self._ok = False
             return False
-        if len(clause) == 1:
-            if not self._enqueue(clause[0], -1):
-                self._ok = False
-                return False
-            conflict = self._propagate()
-            if conflict != -1:
+        if size == 1:
+            if not self._enqueue(clause[0], -1) or self._propagate() != -1:
                 self._ok = False
                 return False
             return True
-        self._attach_clause(clause, learned=False)
+        # Attach: the arena header of a problem clause, then both watches.
+        ca = self._ca
+        offset = len(ca)
+        ca += (size, 0, 0, 0.0)
+        ca += clause
+        self._clause_refs.append(offset)
+        first, second = clause[0], clause[1]
+        if size == 2:
+            self._bin_watches[first] += (second, offset)
+            self._bin_watches[second] += (first, offset)
+        else:
+            self._watches[first] += (offset, second)
+            self._watches[second] += (offset, first)
         return True
 
     def statistics(self) -> dict[str, float]:
@@ -289,14 +307,11 @@ class CDCLSolver:
             ok = self.add_clause(clause) and ok
         return ok
 
-    def _attach_clause(self, clause: list[int], learned: bool, lbd: int = 0) -> int:
+    def _attach_learned(self, clause: list[int], lbd: int) -> int:
         ca = self._ca
         offset = len(ca)
-        ca.append(len(clause))
-        ca.append(1 if learned else 0)
-        ca.append(lbd)
-        ca.append(0.0)
-        ca.extend(clause)
+        ca += (len(clause), 1, lbd, 0.0)
+        ca += clause
         self._clause_refs.append(offset)
         if len(clause) == 2:
             self._bin_watches[clause[0]].extend((clause[1], offset))
@@ -767,7 +782,7 @@ class CDCLSolver:
                         self._ok = False
                         return SolveResult.UNSAT
                 else:
-                    offset = self._attach_clause(learned, learned=True, lbd=lbd)
+                    offset = self._attach_learned(learned, lbd)
                     stats.learned_clauses += 1
                     self._enqueue(learned[0], offset)
                 self._var_inc /= self._var_decay

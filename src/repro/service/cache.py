@@ -56,6 +56,8 @@ class CertifiedResultCache:
                     record = json.loads(line)
                 except json.JSONDecodeError:
                     continue  # torn final line: keep what parsed
+                if not isinstance(record, dict):
+                    continue  # valid JSON but no record: skipped likewise
                 key = record.get("key")
                 entry = record.get("entry")
                 # put()'s admission rule: certified entries only, and the

@@ -143,9 +143,9 @@ def test_incremental_capacity_rebuild_still_optimal(monkeypatch):
 @pytest.mark.parametrize(
     "instance_name, strategy, size",
     [
-        ("triangle", "linear", (2_834, 10_185, 336)),
+        ("triangle", "linear", (2_816, 10_103, 320)),
         ("triangle", "bisection", (2_816, 10_055, 272)),
-        ("chain-2", "linear", (1_626, 5_624, 8)),
+        ("chain-2", "linear", (1_612, 5_572, 8)),
     ],
 )
 def test_search_formula_sizes_are_pinned(instance_name, strategy, size):

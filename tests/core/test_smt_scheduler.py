@@ -113,12 +113,15 @@ def test_scheduler_rejects_raw_gate_lists():
 def test_scheduler_statistics_and_bound():
     problem = tiny_problem("none", 4, [(0, 1), (1, 2), (1, 3)])
     assert problem.lower_bound() == 3
+    # The chain probes once (LB 2 < UB 4); a single gate would certify
+    # from its witness with no probe and no statistics.
     report = SMTScheduler(time_limit_per_instance=120).schedule(
-        tiny_problem("none", 2, [(0, 1)])
+        tiny_problem("none", 3, [(0, 1), (1, 2)])
     )
+    assert report.stages_tried == [2]
     assert report.statistics.get("sat_clauses", 0) > 0
     assert report.solver_seconds >= 0.0
-    assert report.lower_bound == 1
+    assert report.lower_bound == 2
 
 
 # --------------------------------------------------------------------------- #

@@ -8,7 +8,7 @@ analytic lower bound against certified optima, and the portfolio race.
 import pytest
 
 from repro.arch import reduced_layout
-from repro.core.problem import SchedulingProblem
+from repro.core.problem import SchedulingProblem, problem_from_document
 from repro.core.scheduler import SMTScheduler
 from repro.core.strategies import (
     PortfolioStrategy,
@@ -20,11 +20,17 @@ from repro.core.strategies import (
 from repro.core.strategies.base import accumulate_statistics
 from repro.core.strategies.portfolio import DEFAULT_CONFIGS as PORTFOLIO_CONFIGS
 from repro.core.validator import validate_schedule
-from repro.evaluation.runner import SMT_INSTANCES
+from repro.evaluation.runner import SMT_INSTANCES, build_suite, smt_document
 from repro.qec import available_codes, get_code
 from repro.qec.state_prep import state_preparation_circuit
 
 STRATEGIES = ("linear", "bisection")
+
+#: The SMT bench suite's 13 smoke cells, as ``(layout, instance)``.
+SMOKE_CELLS = [
+    (cell.spec["layout"], cell.spec["instance"])
+    for cell in build_suite("smt", strategies=("linear",))
+]
 
 
 def tiny_layout(kind):
@@ -131,20 +137,36 @@ def test_bisection_never_probes_more_than_linear_on_the_triangle():
     assert bisection.num_horizons <= linear.num_horizons
 
 
-def test_bisection_certifies_ring_without_probes_where_linear_needs_one():
+def test_ring_certifies_without_probes_under_both_orders():
     """The airborne witness closes the ring's interval analytically: the
-    transfer-free schedule meets the gate-load bound exactly."""
+    transfer-free schedule meets the gate-load bound exactly, so neither
+    horizon order probes."""
     problem = tiny_problem("bottom", 4, [(0, 1), (1, 2), (2, 3), (0, 3)])
-    linear = SMTScheduler(time_limit_per_instance=300, strategy="linear").schedule(
-        problem
-    )
-    bisection = SMTScheduler(strategy="bisection").schedule(problem)
-    assert linear.schedule.num_stages == bisection.schedule.num_stages == 2
-    assert linear.num_horizons == 1
-    assert bisection.stages_tried == []
-    assert bisection.upper_bound == 2
-    assert bisection.upper_bound_source == "structured-airborne"
-    assert bisection.schedule.num_transfer_stages == 0
+    for strategy in STRATEGIES:
+        report = SMTScheduler(strategy=strategy).schedule(problem)
+        assert report.found and report.optimal
+        assert report.schedule.num_stages == 2
+        assert report.stages_tried == []
+        assert report.upper_bound == 2
+        assert report.upper_bound_source == "structured-airborne"
+        assert report.schedule.num_transfer_stages == 0
+
+
+@pytest.mark.parametrize("layout_kind, instance_name", SMOKE_CELLS)
+def test_no_order_probes_the_structured_witness(layout_kind, instance_name):
+    """Both orders hold the witness before the first probe, so neither
+    probes at or above its stage count; linear walks up from the analytic
+    bound and stops at the optimum or just below the witness."""
+    problem = problem_from_document(smt_document(instance_name, layout_kind))
+    reports = {
+        strategy: SMTScheduler(strategy=strategy).schedule(problem) for strategy in STRATEGIES
+    }
+    for report in reports.values():
+        assert report.found and report.optimal
+        assert all(horizon < report.upper_bound for horizon in report.stages_tried)
+    linear = reports["linear"]
+    last = min(linear.schedule.num_stages, linear.upper_bound - 1)
+    assert linear.stages_tried == list(range(linear.lower_bound, last + 1))
 
 
 def test_bisection_probes_stay_within_the_bounds():
@@ -157,15 +179,8 @@ def test_bisection_probes_stay_within_the_bounds():
     )
 
 
-@pytest.mark.parametrize(
-    "strategy, horizons, capacity",
-    [
-        ("linear", [4, 5], None),
-        # Bisection sizes its instance to the witness's 7 stages minus one.
-        ("bisection", [5, 4], 6),
-    ],
-)
-def test_report_statistics_cover_every_probe(strategy, horizons, capacity):
+@pytest.mark.parametrize("strategy, horizons", [("linear", [4, 5]), ("bisection", [5, 4])])
+def test_report_statistics_cover_every_probe(strategy, horizons):
     """The report's SAT counters sum over the whole search, not just its
     last probe: replaying the probes by hand on an identical context (the
     flat core is deterministic) reproduces them as per-probe sums."""
@@ -173,11 +188,14 @@ def test_report_statistics_cover_every_probe(strategy, horizons, capacity):
     limits = SearchLimits(time_limit=300)
     report = get_strategy(strategy).run(problem, limits)
     assert report.stages_tried == horizons
-    context = SearchContext(problem, limits, capacity=capacity)
+    # Both orders size their instance below the witness's 7 stages.
+    assert report.upper_bound == 7
+    context = SearchContext(problem, limits, report.upper_bound)
     probes = []
     for horizon in horizons:
         context.decide(horizon)
         probes.append(context.statistics())
+    assert context.instance.max_stages == 6
     for key in ("sat_conflicts", "sat_decisions"):
         assert report.statistics[key] == sum(probe[key] for probe in probes)
 
@@ -260,14 +278,14 @@ def test_schedule_metadata_provenance_is_path_independent():
 
 
 def test_reports_carry_bound_provenance():
-    """Every strategy stamps the lower-bound certificate source; the
-    bound-driven ones also stamp the witness choreography."""
+    """Every strategy stamps the lower-bound certificate source and the
+    witness choreography."""
     problem = tiny_problem("bottom", 3, [(0, 1), (1, 2), (0, 2)])
     linear = SMTScheduler(time_limit_per_instance=300, strategy="linear").schedule(
         problem
     )
     assert linear.lower_bound_source == "clique+transfer"
-    assert linear.upper_bound_source is None
+    assert linear.upper_bound_source == "structured-homes"
     bisection = SMTScheduler(
         time_limit_per_instance=300, strategy="bisection"
     ).schedule(problem)

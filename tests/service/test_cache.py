@@ -99,6 +99,25 @@ def test_cache_reload_tolerates_torn_tail(tmp_path):
     reloaded.close()
 
 
+@pytest.mark.parametrize("line", ["[1]", "3", '"x"', "null"])
+def test_cache_reload_skips_lines_that_are_not_records(tmp_path, line):
+    # A line that parses as JSON but is not an object is skipped like a
+    # torn line; the entries around it still load.
+    path = tmp_path / "cache.jsonl"
+    records = [
+        json.dumps({"key": KEY_A, "entry": _certified(num_stages=4)}),
+        line,
+        json.dumps({"key": KEY_B, "entry": _certified(num_stages=5)}),
+    ]
+    path.write_text("".join(record + "\n" for record in records), encoding="utf-8")
+
+    reloaded = CertifiedResultCache(path=path)
+    assert reloaded.get(KEY_A)["num_stages"] == 4
+    assert reloaded.get(KEY_B)["num_stages"] == 5
+    assert len(reloaded) == 2
+    reloaded.close()
+
+
 def test_cache_reload_keeps_the_first_certificate(tmp_path):
     # Reload applies put()'s rule: the first certified line of a key wins,
     # and a non-certified line is never admitted.
