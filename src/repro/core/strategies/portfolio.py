@@ -34,9 +34,9 @@ from repro.core.report import (
 )
 from repro.core.strategies.base import SearchLimits
 from repro.core.strategies.search import (
+    BisectionStrategy,
     analytic_report,
     degrade,
-    search,
     structured_upper_bound,
 )
 
@@ -62,8 +62,9 @@ def run_portfolio_config(task: tuple) -> SchedulerReport:
     Module-level so it pickles for the process pool.  *task* is
     ``(problem, config, limits, metadata, witness)``; the configuration's
     ``sat_backend`` is folded into the limits, and the triage-time
-    structured *witness* is handed to the search driver so no worker
-    repeats the constructive scheduling pass.
+    structured *witness* (``None`` when no choreography applies) is handed
+    to the search driver so no worker repeats the constructive scheduling
+    pass.
     """
     from repro.core.strategies import get_strategy
 
@@ -75,9 +76,7 @@ def run_portfolio_config(task: tuple) -> SchedulerReport:
         limits, sat_backend=config.get("sat_backend", limits.sat_backend)
     )
     strategy = get_strategy(config["strategy"])
-    return search(
-        problem, limits, metadata, name=strategy.name, pick=strategy.pick, witness=witness
-    )
+    return strategy.run(problem, limits, metadata, witness=witness)
 
 
 class PortfolioStrategy:
@@ -171,10 +170,9 @@ class PortfolioStrategy:
         problem: SchedulingProblem,
         limits: SearchLimits,
         metadata: dict,
-        witness=None,
+        witness,
     ) -> SchedulerReport:
-        task = (problem, {"strategy": "bisection"}, limits, metadata, witness)
-        report = run_portfolio_config(task)
+        report = BisectionStrategy().run(problem, limits, metadata, witness=witness)
         # Same invariant as the raced path: an uncertified report must not
         # advertise a winner.
         if report.found and report.optimal:

@@ -36,7 +36,7 @@ search.
 from __future__ import annotations
 
 import time
-from typing import Callable, Optional
+from typing import Any, Callable, Optional
 
 from repro.core.problem import SchedulingProblem
 from repro.core.report import (
@@ -61,6 +61,12 @@ from repro.smt import CheckResult
 UNSAT_PROBE_SOURCE = "unsat-probes"
 
 
+#: Default *witness* of :func:`search`: compute it before the first probe.
+#: A caller that already ran :func:`structured_upper_bound` passes its
+#: result instead, ``None`` included.
+_COMPUTE_WITNESS: Any = object()
+
+
 def _lowest(low: int, high: int) -> int:
     return low
 
@@ -80,8 +86,11 @@ class _HorizonOrder:
         problem: SchedulingProblem,
         limits: SearchLimits,
         metadata: dict | None = None,
+        witness: Optional[Schedule] = _COMPUTE_WITNESS,
     ) -> SchedulerReport:
-        return search(problem, limits, metadata, name=self.name, pick=self.pick)
+        return search(
+            problem, limits, metadata, name=self.name, pick=self.pick, witness=witness
+        )
 
 
 class LinearStrategy(_HorizonOrder):
@@ -105,15 +114,15 @@ def search(
     *,
     name: str,
     pick: Callable[[int, int], int],
-    witness: Optional[Schedule] = None,
+    witness: Optional[Schedule] = _COMPUTE_WITNESS,
 ) -> SchedulerReport:
     """Find the minimum stage count of *problem* by probing horizons.
 
     *pick* chooses each probe inside the open interval ``[low, high]`` (and
     must return ``low`` when ``low == high``).  *witness* is
     :func:`structured_upper_bound` of *problem* when the caller already
-    holds it (the portfolio computes it once for all its configurations);
-    otherwise it is computed here, before the first probe.
+    holds it, ``None`` included (the portfolio computes it once for all its
+    configurations); by default it is computed here, before the first probe.
     """
     start = time.monotonic()
     report = analytic_report(problem, name)
@@ -125,7 +134,7 @@ def search(
     # extractions carry the problem metadata just like the witness does,
     # and the strategy is recorded either way.
     merged = {"strategy": name, **problem.metadata, **(metadata or {})}
-    bound = witness if witness is not None else structured_upper_bound(problem)
+    bound = structured_upper_bound(problem) if witness is _COMPUTE_WITNESS else witness
     if bound is not None:
         report.upper_bound = bound.num_stages
         report.upper_bound_source = witness_source(bound)

@@ -56,10 +56,6 @@ _UNASSIGNED = 2
 #: Arena slots before a clause's literals: [size, learned, lbd, activity].
 _HDR = 4
 
-#: Longest clause whose duplicate test scans the clause list; longer ones
-#: keep a set.
-_SHORT_CLAUSE = 8
-
 class SolveResult(enum.Enum):
     """Outcome of a :meth:`CDCLSolver.solve` call."""
 
@@ -241,13 +237,8 @@ class CDCLSolver:
         trivially unsatisfiable (empty clause or conflicting units)."""
         if not self._ok:
             return False
-        if not isinstance(literals, (list, tuple)):
-            literals = list(literals)
         values, at_root = self._values, not self._trail_lim
         clause: list[int] = []
-        # Duplicate and tautology tests scan the clause itself; a long clause
-        # keeps a set instead, so the test does not grow quadratically.
-        members = set() if len(literals) > _SHORT_CLAUSE else clause
         for lit in literals:
             if not lit:
                 raise ValueError("0 is not a valid literal")
@@ -255,9 +246,11 @@ class CDCLSolver:
             enc = (var << 1) | (lit < 0)
             if var > self._num_vars:
                 self._ensure_var(var)
-            if enc ^ 1 in members:
+            # Duplicate and tautology tests scan the clause itself: problem
+            # clauses are short (at most 14 literals on the paper's inputs).
+            if enc ^ 1 in clause:
                 return True  # tautology
-            if enc in members:
+            if enc in clause:
                 continue
             # Drop literals already false at level 0, ignore clause if a
             # literal is already true at level 0.
@@ -268,8 +261,6 @@ class CDCLSolver:
                 if val == 0:
                     continue
             clause.append(enc)
-            if members is not clause:
-                members.add(enc)
         size = len(clause)
         if not size:
             self._ok = False

@@ -360,6 +360,36 @@ def test_portfolio_narrow_interval_runs_inline():
     assert report.strategy == "portfolio"
 
 
+def test_portfolio_computes_the_witness_once_even_when_none_applies(monkeypatch):
+    """Triage's ``None`` (no choreography applies) is handed on as an answer:
+    neither the inline path nor a raced configuration runs the constructive
+    pass again."""
+    from repro.core.strategies import portfolio, search
+    from repro.core.strategies.portfolio import run_portfolio_config
+
+    calls = []
+    real = search.structured_upper_bound
+
+    def counting(problem):
+        calls.append(problem)
+        return real(problem)
+
+    monkeypatch.setattr(search, "structured_upper_bound", counting)
+    monkeypatch.setattr(portfolio, "structured_upper_bound", counting)
+    # Non-regular load on the shielded storage-less layout: no witness.
+    problem = SchedulingProblem.from_gates(
+        tiny_layout("none"), 3, [(0, 1), (1, 2)], shielding=True
+    )
+    limits = SearchLimits(max_stages=problem.lower_bound() + 1)
+    report = PortfolioStrategy(jobs=1).run(problem, limits)
+    assert len(calls) == 1
+    assert report.upper_bound is None and not report.found
+    for strategy in STRATEGIES:
+        task = (problem, {"strategy": strategy}, limits, {}, None)
+        assert not run_portfolio_config(task).found
+    assert len(calls) == 1
+
+
 def test_portfolio_race_first_certificate_wins_and_cancels_losers(monkeypatch):
     """Forcing the race (jobs=2) on the wide-interval cell: the winner's
     configuration is recorded and the losers are cancelled/terminated.
