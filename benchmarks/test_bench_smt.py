@@ -9,10 +9,9 @@ pits the incremental minimum-stage search against a fresh one-shot
 encoding per horizon,
 certifies that both horizon orders reach the same optima without ever
 probing the structured witness's own stage count, pins linear's paper-tier
-search on the Steane code, races the
+search on the Steane code, and races the
 flat-array CDCL core against the preserved seed implementation
-(propagation-throughput microbench), and checks the portfolio strategy
-against the single-strategy field.
+(propagation-throughput microbench).
 """
 
 import pytest
@@ -36,7 +35,7 @@ def bench_problem(kind, instance_name):
     return SchedulingProblem.from_gates(bench_layout(kind), num_qubits, gates)
 
 
-@pytest.mark.parametrize("strategy", ["linear", "bisection", "portfolio"])
+@pytest.mark.parametrize("strategy", ["linear", "bisection"])
 @pytest.mark.parametrize("layout_kind", ["none", "bottom"])
 @pytest.mark.parametrize("instance_name", list(INSTANCES))
 def test_bench_smt_optimal_scheduling(benchmark, strategy, layout_kind, instance_name):
@@ -239,51 +238,3 @@ def test_bench_smt_propagation_throughput_microbench(benchmark):
             f"{cell['reference']['propagations_per_second']:,.0f} props/s)"
         )
     assert document["candidate_faster_everywhere"]
-
-
-# --------------------------------------------------------------------------- #
-# Portfolio racing
-# --------------------------------------------------------------------------- #
-#: Fixed allowance for the portfolio's orchestration overhead (process
-#: fork + result pickling + the race loop's 0.5 s poll granularity) on
-#: cells where every strategy finishes in milliseconds; on wide-interval
-#: cells the race wins outright.  Sized for a loaded 2-core CI runner.
-PORTFOLIO_OVERHEAD_SECONDS = 1.0
-
-
-def test_bench_smt_portfolio_matches_bisection_and_never_trails_the_field(benchmark):
-    """The portfolio certifies the same optimal S as bisection on every
-    smoke instance and never loses to the slowest single strategy by more
-    than the fixed orchestration allowance."""
-
-    def run_all():
-        reports = {}
-        for strategy in ("linear", "bisection", "portfolio"):
-            scheduler = SMTScheduler(time_limit_per_instance=120, strategy=strategy)
-            for layout_kind in ("none", "bottom"):
-                for name in INSTANCES:
-                    problem = bench_problem(layout_kind, name)
-                    reports[(strategy, layout_kind, name)] = scheduler.schedule(
-                        problem
-                    )
-        return reports
-
-    reports = benchmark.pedantic(run_all, rounds=1, iterations=1)
-    for layout_kind in ("none", "bottom"):
-        for name in INSTANCES:
-            portfolio = reports[("portfolio", layout_kind, name)]
-            bisection = reports[("bisection", layout_kind, name)]
-            assert portfolio.found and portfolio.optimal, (layout_kind, name)
-            assert (
-                portfolio.schedule.num_stages == bisection.schedule.num_stages
-            ), (layout_kind, name)
-            assert portfolio.winner is not None, (layout_kind, name)
-            slowest = max(
-                reports[(strategy, layout_kind, name)].solver_seconds
-                for strategy in ("linear", "bisection")
-            )
-            assert portfolio.solver_seconds <= slowest + PORTFOLIO_OVERHEAD_SECONDS, (
-                f"{layout_kind}/{name}: portfolio took "
-                f"{portfolio.solver_seconds:.2f}s vs slowest single "
-                f"strategy {slowest:.2f}s"
-            )

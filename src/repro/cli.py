@@ -15,7 +15,6 @@ Examples
     repro-nasp explore surface            # architecture design-space sweep
     repro-nasp bench --suite smt --jobs 4 --output results.json
     repro-nasp bench --suite smt --strategy linear bisection --output out.json
-    repro-nasp bench --suite smt --strategy portfolio --output race.json
     repro-nasp bench --suite smt --sat-backend dimacs-subprocess --output ext.json
     repro-nasp bench --suite smt --journal run.jsonl --output run.json
     repro-nasp bench --suite smt --resume run.jsonl --output run.json

@@ -13,9 +13,9 @@ bounds).  Three backends produce the same
 * :class:`repro.core.scheduler.SMTScheduler` — the faithful reproduction of
   the paper's approach: the symbolic formulation of Sec. IV (variables V1-V3,
   constraints C1-C6) solved with :mod:`repro.smt`, minimising the number of
-  stages with a search strategy (``linear`` iterative deepening,
-  ``bisection`` between the IR's analytic bounds, or a ``portfolio`` racing
-  both — see :mod:`repro.core.strategies`).
+  stages with a search strategy (``linear`` iterative deepening or
+  ``bisection`` between the IR's analytic bounds — see
+  :mod:`repro.core.strategies`).
 * :class:`repro.core.structured.StructuredScheduler` — a constructive
   zone-aware scheduler used for the larger Table I instances, where a pure
   Python SMT solve would take days.

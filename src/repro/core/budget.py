@@ -16,7 +16,7 @@ Design points:
   ``time_limit`` knob was handed identically to every probe, letting a
   search burn ``probes x time_limit`` wall-clock).  ``CLOCK_MONOTONIC`` is
   system-wide on Linux, so a pickled deadline keeps meaning the same
-  instant inside portfolio worker processes.
+  instant inside the service's worker processes.
 * **Cooperative.**  Nothing is killed: every enforcement point checks
   :meth:`Deadline.expired` / slices its own budget from
   :meth:`Deadline.remaining` and winds down along the graceful-degradation
@@ -151,7 +151,7 @@ class Deadline:
         return max(1, int(max_conflicts * remaining / per_probe))
 
     # ------------------------------------------------------------------ #
-    # Pickling (portfolio workers receive the deadline inside SearchLimits)
+    # Pickling (the service's pool workers receive the deadline in a spec)
     # ------------------------------------------------------------------ #
     def __getstate__(self) -> dict:
         return {"expires_at": self._expires_at}

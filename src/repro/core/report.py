@@ -44,9 +44,7 @@ class SchedulerReport:
     optimal: bool
     strategy: str = "linear"
     #: Registry name of the SAT backend that decided the probes
-    #: (:mod:`repro.sat.backend`); set by the scheduler facade.  The
-    #: portfolio's ``winner`` may name a different backend when a raced
-    #: backend variant landed the certificate first.
+    #: (:mod:`repro.sat.backend`); set by the scheduler facade.
     sat_backend: str = "flat"
     lower_bound: int = 0
     upper_bound: Optional[int] = None
@@ -71,12 +69,6 @@ class SchedulerReport:
     #: strategy layer.
     termination: Optional[str] = None
     statistics: dict[str, float] = field(default_factory=dict)
-    #: Set by the portfolio strategy only: the configuration whose
-    #: certificate landed first (e.g. ``{"strategy": "linear"}`` or
-    #: ``{"strategy": "bisection", "sat_backend": "ipasir"}``), plus how it won
-    #: (``"raced"`` across worker processes or ``"inline"`` when the
-    #: analytic interval was too narrow to pay for process fan-out).
-    winner: Optional[dict] = None
 
     @property
     def found(self) -> bool:

@@ -14,15 +14,9 @@ searches over ``S`` with a *strategy*
   and the same certified upper bound; solves fewer horizons than
   ``linear`` whenever the optimum sits more than a couple of steps above
   the lower bound.
-* ``portfolio`` — races ``bisection``/``linear`` and one bisection
-  variant per extra usable SAT backend across worker processes; the first
-  certified optimum wins, losers are terminated, and the winning
-  configuration is recorded on ``report.winner``.  Narrow analytic
-  intervals are delegated inline to bisection instead of paying process
-  fan-out.
 
-``linear`` and ``bisection`` differ only in the horizon they pick next:
-one driver (:func:`repro.core.strategies.search.search`) computes the
+The two strategies differ only in the horizon they pick next: one
+in-process driver (:func:`repro.core.strategies.search.search`) computes the
 structured witness before the first probe and runs the probe loop and the
 graceful-degradation contract for both.  Its probes share
 one growable :class:`~repro.core.encoding.IncrementalInstance`

@@ -7,11 +7,8 @@
   certified upper bound.
 * ``bisection`` — binary search between the IR's analytic lower bound and
   the same certified upper bound.
-* ``portfolio`` — races the single strategies (plus one bisection variant
-  per extra usable SAT backend) across worker processes; the first
-  certified optimum wins and the losers are cancelled.
 
-``linear`` and ``bisection`` are two horizon orders over one driver,
+Both are horizon orders over one in-process driver,
 :func:`repro.core.strategies.search.search`, which owns the probe loop and
 the graceful-degradation contract (the structured witness computed
 before the first probe, deadline checks between probes, backend failures,
@@ -30,14 +27,12 @@ from repro.core.strategies.search import (
     LinearStrategy,
     structured_upper_bound,
 )
-from repro.core.strategies.portfolio import PortfolioStrategy
 
 #: Strategy name -> strategy class (constructed without arguments by
 #: :func:`get_strategy`).  The order is the SMT bench suite's cell order.
 STRATEGIES = {
     "linear": LinearStrategy,
     "bisection": BisectionStrategy,
-    "portfolio": PortfolioStrategy,
 }
 
 
@@ -59,7 +54,6 @@ def get_strategy(name: str):
 __all__ = [
     "BisectionStrategy",
     "LinearStrategy",
-    "PortfolioStrategy",
     "STRATEGIES",
     "SearchContext",
     "SearchLimits",

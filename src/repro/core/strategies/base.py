@@ -58,8 +58,7 @@ class SearchLimits:
     #: Registry name of the SAT backend deciding every probe
     #: (:mod:`repro.sat.backend`).  ``None`` selects the default in-process
     #: flat-array core.  Every registered backend is sound and complete, so
-    #: the knob trades speed, never answers — which is what lets the
-    #: portfolio race backends as variants.
+    #: the knob trades speed, never answers.
     sat_backend: Optional[str] = None
     #: Whole-search wall-clock governance (:class:`repro.core.budget.Deadline`).
     #: Unlike :attr:`time_limit` — a *per-probe* cap handed identically to

@@ -36,7 +36,7 @@ search.
 from __future__ import annotations
 
 import time
-from typing import Any, Callable, Optional
+from typing import Callable, Optional
 
 from repro.core.problem import SchedulingProblem
 from repro.core.report import (
@@ -61,12 +61,6 @@ from repro.smt import CheckResult
 UNSAT_PROBE_SOURCE = "unsat-probes"
 
 
-#: Default *witness* of :func:`search`: compute it before the first probe.
-#: A caller that already ran :func:`structured_upper_bound` passes its
-#: result instead, ``None`` included.
-_COMPUTE_WITNESS: Any = object()
-
-
 def _lowest(low: int, high: int) -> int:
     return low
 
@@ -86,11 +80,8 @@ class _HorizonOrder:
         problem: SchedulingProblem,
         limits: SearchLimits,
         metadata: dict | None = None,
-        witness: Optional[Schedule] = _COMPUTE_WITNESS,
     ) -> SchedulerReport:
-        return search(
-            problem, limits, metadata, name=self.name, pick=self.pick, witness=witness
-        )
+        return search(problem, limits, metadata, name=self.name, pick=self.pick)
 
 
 class LinearStrategy(_HorizonOrder):
@@ -114,18 +105,21 @@ def search(
     *,
     name: str,
     pick: Callable[[int, int], int],
-    witness: Optional[Schedule] = _COMPUTE_WITNESS,
 ) -> SchedulerReport:
     """Find the minimum stage count of *problem* by probing horizons.
 
     *pick* chooses each probe inside the open interval ``[low, high]`` (and
-    must return ``low`` when ``low == high``).  *witness* is
-    :func:`structured_upper_bound` of *problem* when the caller already
-    holds it, ``None`` included (the portfolio computes it once for all its
-    configurations); by default it is computed here, before the first probe.
+    must return ``low`` when ``low == high``).
     """
     start = time.monotonic()
-    report = analytic_report(problem, name)
+    breakdown = problem.bound_breakdown()
+    report = SchedulerReport(
+        schedule=None,
+        optimal=False,
+        strategy=name,
+        lower_bound=breakdown.total,
+        lower_bound_source=breakdown.source,
+    )
     if report.lower_bound > limits.max_stages:
         report.termination = TERMINATION_INFEASIBLE
         report.solver_seconds = time.monotonic() - start
@@ -134,7 +128,7 @@ def search(
     # extractions carry the problem metadata just like the witness does,
     # and the strategy is recorded either way.
     merged = {"strategy": name, **problem.metadata, **(metadata or {})}
-    bound = structured_upper_bound(problem) if witness is _COMPUTE_WITNESS else witness
+    bound = structured_upper_bound(problem)
     if bound is not None:
         report.upper_bound = bound.num_stages
         report.upper_bound_source = witness_source(bound)
@@ -196,39 +190,27 @@ def search(
             report.optimal = True
             report.termination = TERMINATION_CERTIFIED
     else:
-        degrade(
+        _degrade(
             report,
             termination or TERMINATION_DEADLINE,
             bound,
             limits,
             merged,
-            proven_low=proven_low,
-            sat_model=best,
+            proven_low,
+            best,
         )
     report.solver_seconds = time.monotonic() - start
     return report
 
 
-def analytic_report(problem: SchedulingProblem, name: str) -> SchedulerReport:
-    """An empty report carrying *problem*'s analytic lower bound."""
-    breakdown = problem.bound_breakdown()
-    return SchedulerReport(
-        schedule=None,
-        optimal=False,
-        strategy=name,
-        lower_bound=breakdown.total,
-        lower_bound_source=breakdown.source,
-    )
-
-
-def degrade(
+def _degrade(
     report: SchedulerReport,
     termination: str,
     witness: Optional[Schedule],
     limits: SearchLimits,
     metadata: dict,
-    proven_low: int = 0,
-    sat_model: Optional[Schedule] = None,
+    proven_low: int,
+    sat_model: Optional[Schedule],
 ) -> None:
     """End *report* uncertified with everything the search still knows.
 
@@ -248,8 +230,7 @@ def degrade(
     report.optimal = False
     if proven_low > report.lower_bound:
         report.lower_bound = proven_low
-        base = report.lower_bound_source or "analytic"
-        report.lower_bound_source = f"{base}+{UNSAT_PROBE_SOURCE}"
+        report.lower_bound_source += f"+{UNSAT_PROBE_SOURCE}"
     if sat_model is not None and (
         report.upper_bound is None or sat_model.num_stages < report.upper_bound
     ):
@@ -269,8 +250,8 @@ def degrade(
 def structured_upper_bound(problem: SchedulingProblem) -> Optional[Schedule]:
     """The tightest validated constructive schedule of *problem*, or ``None``.
 
-    Shared by the search driver (which also falls back on it), the
-    portfolio's triage, the CLI and the service's witness event: a
+    Shared by the search driver (which also falls back on it), the CLI's
+    ``bounds`` command and the service's witness event: a
     structured schedule is feasible by construction and validated before
     use, so its stage count is a certified upper bound on the optimum.  Two
     choreographies compete:

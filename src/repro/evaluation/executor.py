@@ -1,13 +1,11 @@
 """Persistent warm worker pool for the bench fleet and the service.
 
-PR 6's bench fleet ran one :class:`multiprocessing.Process` per in-flight
-cell: fault isolation was perfect, but every cell paid a fresh interpreter
-fork plus a cold import of the whole scheduling stack, and the racing
-primitive (:func:`race_to_first`) duplicated the pool machinery on
-:class:`~concurrent.futures.ProcessPoolExecutor`.  This module generalises
-both into one substrate: a pool of *persistent* workers that execute
-picklable ``fn(arg)`` tasks back to back, amortising warm-up across tasks,
-while keeping the fleet's fault-tolerance contract:
+A fleet of one :class:`multiprocessing.Process` per in-flight cell
+isolates faults perfectly, but every cell pays a fresh interpreter fork
+plus a cold import of the whole scheduling stack.  This module runs a pool
+of *persistent* workers instead, which execute picklable ``fn(arg)`` tasks
+back to back, amortising warm-up across tasks, while keeping the fleet's
+fault-tolerance contract:
 
 * a worker **crash** (killed, OOM-ed, ``os._exit``) is an isolated,
   attributable event — the task is reported as ``"crashed"`` with the exit
@@ -35,12 +33,11 @@ in :meth:`poll`; the service's asyncio event loop instead watches
 from __future__ import annotations
 
 import multiprocessing
-import os
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from multiprocessing.connection import wait as connection_wait
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 from repro.core.budget import DeadlineExceeded
 
@@ -412,78 +409,3 @@ def _terminate_process(process: multiprocessing.Process) -> None:
             process.join(timeout=5.0)
     else:
         process.join(timeout=5.0)
-
-
-# --------------------------------------------------------------------------- #
-# Racing
-# --------------------------------------------------------------------------- #
-@dataclass
-class RaceOutcome:
-    """Result of a :func:`race_to_first` run."""
-
-    #: Index of the first task whose result was accepted (None: no winner).
-    winner_index: Optional[int]
-    #: The accepted result itself (None when no winner).
-    winner: object
-    #: Results of every task that completed before the race was decided,
-    #: keyed by task index (includes the winner).
-    finished: dict[int, object] = field(default_factory=dict)
-    #: Tasks that raised (or whose worker crashed), keyed by task index.
-    errors: dict[int, str] = field(default_factory=dict)
-    #: Tasks cancelled or terminated because the race was already won.
-    cancelled: list[int] = field(default_factory=list)
-    seconds: float = 0.0
-
-
-def race_to_first(
-    fn,
-    tasks: Sequence,
-    jobs: Optional[int] = None,
-    timeout: Optional[float] = None,
-    accept=None,
-) -> RaceOutcome:
-    """Run ``fn(task)`` for every task across worker processes; first
-    acceptable result wins and the losers are cancelled/terminated.
-
-    This is the racing counterpart of the bench fleet: same
-    :class:`WorkerPool` substrate, but the batch stops at the first result
-    for which ``accept(result)`` is true (default: any result).  Queued
-    tasks are cancelled; workers still grinding on a loser are terminated
-    by the pool shutdown.  Among results arriving in the same poll
-    interval the lowest task index wins, which keeps the outcome
-    deterministic when several tasks finish near-simultaneously.  A task
-    that raises (or whose worker crashes) is recorded in ``errors`` and
-    the race continues.  With no acceptable result the race returns
-    ``winner_index=None`` and every completed result in ``finished``.
-    *timeout* bounds the whole race (seconds); on expiry the still-running
-    tasks are treated as cancelled.
-    """
-    if accept is None:
-        def accept(result):  # default: any completed result wins
-            return True
-    start = time.monotonic()
-    jobs = max(1, min(len(tasks), jobs or os.cpu_count() or 1))
-    outcome = RaceOutcome(winner_index=None, winner=None)
-    deadline = start + timeout if timeout is not None else None
-    with WorkerPool(jobs, name="race") as pool:
-        index_of = {
-            pool.submit(fn, task): index for index, task in enumerate(tasks)
-        }
-        pending = set(index_of.values())
-        while pending and outcome.winner_index is None:
-            events = pool.poll(timeout=0.5)
-            for event in sorted(events, key=lambda e: index_of[e.task_id]):
-                index = index_of[event.task_id]
-                pending.discard(index)
-                if event.status != TASK_OK:
-                    outcome.errors[index] = event.error or event.status
-                    continue
-                outcome.finished[index] = event.value
-                if outcome.winner_index is None and accept(event.value):
-                    outcome.winner_index = index
-                    outcome.winner = event.value
-            if deadline is not None and time.monotonic() > deadline:
-                break
-        outcome.cancelled = sorted(pending)
-    outcome.seconds = time.monotonic() - start
-    return outcome

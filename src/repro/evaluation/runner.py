@@ -96,8 +96,7 @@ SMT_LAYOUT_KINDS = ("none", "bottom", "none-shielded")
 AIRBORNE_SMOKE_INSTANCES = ("single-gate", "disjoint-pairs", "ring-4")
 
 #: Search strategies fanned out by the SMT suite: every name of the
-#: :data:`repro.core.strategies.STRATEGIES` table, in its order
-#: (``portfolio`` races the single strategies across worker processes).
+#: :data:`repro.core.strategies.STRATEGIES` table, in its order.
 SMT_STRATEGIES = tuple(STRATEGIES)
 
 REDUCED_LAYOUT_KWARGS = {"x_max": 2, "h_max": 1, "v_max": 1, "c_max": 2, "r_max": 2}
@@ -492,9 +491,6 @@ def solve_job(spec: dict) -> dict:
     for key in ("sat_propagations_per_second", "sat_conflicts_per_second"):
         if key in report.statistics:
             payload[key] = report.statistics[key]
-    if report.winner is not None:
-        # Portfolio runs only.
-        payload["winner"] = report.winner
     if report.found:
         payload.update(
             num_stages=report.schedule.num_stages,
@@ -1011,52 +1007,6 @@ def check_bounds_soundness(
     if not checked:
         raise ValueError("batch contains no certified SMT cells to check")
     return checked
-
-
-def check_portfolio_regression(
-    baseline_results: Sequence[BenchResult],
-    portfolio_results: Sequence[BenchResult],
-    baseline_strategy: str = "bisection",
-) -> list[tuple[str, str]]:
-    """Certify the portfolio against a single-strategy baseline batch.
-
-    For every (layout, instance) cell present in both batches the portfolio
-    must have found a schedule, certified optimality, recorded a winning
-    configuration, and reached exactly the baseline's optimal stage count.
-    Returns the list of compared cells; raises ``ValueError`` on the first
-    violated cell or when the batches share no cells — the CI
-    bench-regression job turns that into a failure.
-    """
-
-    def stage_counts(results: Sequence[BenchResult], strategy: str) -> dict:
-        cells = {}
-        for result in results:
-            payload = result.payload
-            if result.suite != "smt" or payload.get("strategy") != strategy:
-                continue
-            cells[(payload.get("layout"), payload.get("instance"))] = payload
-        return cells
-
-    baseline = stage_counts(baseline_results, baseline_strategy)
-    portfolio = stage_counts(portfolio_results, "portfolio")
-    shared = sorted(set(baseline) & set(portfolio))
-    if not shared:
-        raise ValueError("batches share no (layout, instance) cells to compare")
-    for cell in shared:
-        expected = baseline[cell]
-        actual = portfolio[cell]
-        if not (expected.get("found") and expected.get("optimal")):
-            raise ValueError(f"{cell}: baseline {baseline_strategy} did not certify")
-        if not (actual.get("found") and actual.get("optimal")):
-            raise ValueError(f"{cell}: portfolio failed to certify an optimum")
-        if actual.get("num_stages") != expected.get("num_stages"):
-            raise ValueError(
-                f"{cell}: portfolio found {actual.get('num_stages')} stages, "
-                f"{baseline_strategy} certified {expected.get('num_stages')}"
-            )
-        if not actual.get("winner"):
-            raise ValueError(f"{cell}: portfolio did not record a winner")
-    return shared
 
 
 def check_backend_agreement(

@@ -10,8 +10,7 @@ the solver's trajectory —
 * **wall-clock** per cell (``seconds``),
 * **probe count** per certified SMT cell (``num_horizons``: how many
   stage horizons the strategy asked the solver to decide — fully
-  deterministic for the non-racing strategies, so any increase is a real
-  search regression, not noise),
+  deterministic, so any increase is a real search regression, not noise),
 * **propagation throughput** of the deciding SAT backend
   (``sat_propagations_per_second``; reported, not gated — it is a per-probe sample).
 

@@ -34,7 +34,6 @@ from repro.sat.backend import (
     available_backends,
     backend_info,
     create_backend,
-    usable_backends,
 )
 from repro.sat.chaos import ChaosBackend, FaultPlan
 from repro.sat.cnf import CNF
@@ -65,5 +64,4 @@ __all__ = [
     "available_backends",
     "backend_info",
     "create_backend",
-    "usable_backends",
 ]

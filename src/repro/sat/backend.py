@@ -10,10 +10,9 @@ first-class interface:
   ``statistics``, plus the capability flag ``supports_assumptions`` that
   lets callers fail fast instead of silently deciding the wrong formula.
 * a name-keyed registry of the built-in backends below:
-  :func:`create_backend`, :func:`backend_info`,
-  :func:`available_backends` (every registered name) and
-  :func:`usable_backends` (the subset whose runtime requirements — e.g. an
-  external solver binary — are met right now).
+  :func:`create_backend`, :func:`backend_info` (whose ``is_available()``
+  says whether runtime requirements such as an external solver binary are
+  met right now) and :func:`available_backends` (every registered name).
 * :class:`DimacsSubprocessBackend` — one genuinely external backend proving
   the seam: the accumulated clause database is serialised to DIMACS and
   piped to a configurable solver binary (minisat/kissat-style exit codes,
@@ -152,10 +151,6 @@ class BackendInfo:
     #: Runtime availability probe (e.g. "is a solver binary on PATH?").
     #: Purely informational for in-process backends, which are always usable.
     is_available: Callable[[], bool] = field(default=lambda: True)
-    #: Whether the portfolio strategy should race this backend as a variant
-    #: of its bound-driven configurations.  The seed reference core is kept
-    #: out: it exists to stay slow, racing it only burns a worker.
-    race_variant: bool = True
     #: Whether ``name:argument`` lookups derive a parameterised entry whose
     #: factory receives the argument as ``inner=`` (e.g. ``chaos:flat``
     #: wraps the flat core).  The argument must itself be a registered
@@ -174,11 +169,6 @@ def _register(info: BackendInfo) -> None:
 def available_backends() -> list[str]:
     """Names of all registered backends (sorted; includes unavailable ones)."""
     return sorted(_REGISTRY)
-
-
-def usable_backends() -> list[str]:
-    """Names of the registered backends whose runtime requirements are met."""
-    return [name for name in available_backends() if _REGISTRY[name].is_available()]
 
 
 def backend_info(name: Optional[str] = None) -> BackendInfo:
@@ -215,7 +205,7 @@ def create_backend(name: Optional[str] = None) -> SatBackend:
     subclass) when the backend is registered but its runtime requirements
     are not met (e.g. no external solver binary on ``PATH``) — callers that
     want to degrade instead of failing should consult
-    :func:`usable_backends` first.
+    ``backend_info(name).is_available()`` first.
     """
     info = backend_info(name)
     if not info.is_available():
@@ -493,7 +483,6 @@ _register(
         name="reference",
         factory=ReferenceCDCLSolver,
         description="preserved seed CDCL core (benchmark baseline / oracle)",
-        race_variant=False,
     )
 )
 _register(
@@ -535,8 +524,6 @@ _register(
             f"faults, tunable via ${CHAOS_SPEC_ENV}); wrap a specific "
             "backend with a parameterised name such as 'chaos:flat'"
         ),
-        # Racing an intentionally faulty proxy would only burn a worker.
-        race_variant=False,
         accepts_argument=True,
     )
 )
@@ -554,5 +541,4 @@ __all__ = [
     "backend_info",
     "create_backend",
     "find_solver_binary",
-    "usable_backends",
 ]

@@ -182,11 +182,13 @@ def check_solver_fields(doc: dict, default_strategy: str) -> None:
     from repro.sat.backend import backend_info
     from repro.sat.chaos import FaultPlan
 
-    strategy = doc.get("strategy") or default_strategy
-    if strategy not in available_strategies():
+    strategy = doc.get("strategy")
+    if strategy is None:
+        strategy = default_strategy
+    if not isinstance(strategy, str) or strategy not in available_strategies():
         raise ValueError(
-            f"unknown strategy {strategy!r} "
-            f"(choose from {available_strategies()})"
+            f"strategy must be null or one of {available_strategies()}, "
+            f"got {strategy!r}"
         )
     backend = doc.get("sat_backend")
     if backend is not None:
@@ -361,7 +363,7 @@ class SchedulingService:
         """
         if len(self._waiting) >= self.queue_limit:
             return None
-        if not spec.get("strategy"):
+        if spec.get("strategy") is None:
             spec["strategy"] = self.default_strategy
         job = _ServiceJob(
             request_id=request_id, spec=spec, timeout=self.hard_timeout

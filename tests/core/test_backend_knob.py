@@ -12,7 +12,6 @@ from repro.arch import reduced_layout
 from repro.core.problem import SchedulingProblem
 from repro.core.scheduler import SMTScheduler
 from repro.core.strategies import SearchContext, SearchLimits
-from repro.core.strategies.portfolio import PortfolioStrategy
 from repro.core.validator import validate_schedule
 from repro.evaluation.runner import REDUCED_LAYOUT_KWARGS, SMT_INSTANCES
 from repro.smt import Solver
@@ -93,7 +92,7 @@ def test_search_context_builds_instances_on_the_requested_backend():
     assert context.instance.solver.backend == "reference"
 
 
-@pytest.mark.parametrize("strategy", ["linear", "bisection", "portfolio"])
+@pytest.mark.parametrize("strategy", ["linear", "bisection"])
 def test_reference_backend_certifies_identical_optima(strategy):
     problem = reduced_problem("bottom", "chain-2")
     flat = SMTScheduler(strategy=strategy).schedule(problem)
@@ -129,28 +128,3 @@ def test_scheduler_rejects_unknown_or_unavailable_backends(monkeypatch):
     monkeypatch.setenv(SOLVER_BINARY_ENV, "/nonexistent/solver-binary")
     with pytest.raises(ValueError, match="unavailable"):
         SMTScheduler(sat_backend="dimacs-subprocess")
-
-
-# --------------------------------------------------------------------------- #
-# Portfolio backend variants
-# --------------------------------------------------------------------------- #
-def test_portfolio_races_extra_backends_when_usable(fake_sat_solver):
-    variants = PortfolioStrategy()._backend_variants(SearchLimits())
-    assert {"strategy": "bisection", "sat_backend": "dimacs-subprocess"} in variants
-    # The deliberately slow seed reference is never raced.
-    assert all(v.get("sat_backend") != "reference" for v in variants)
-    # An explicitly pinned backend disables the variants: the caller asked
-    # to measure that backend, racing others would misattribute results.
-    assert PortfolioStrategy()._backend_variants(
-        SearchLimits(sat_backend="flat")
-    ) == ()
-    assert PortfolioStrategy()._backend_variants(
-        SearchLimits(sat_backend="dimacs-subprocess")
-    ) == ()
-
-
-def test_portfolio_has_no_backend_variants_without_external_solvers(monkeypatch):
-    from repro.sat.backend import SOLVER_BINARY_ENV
-
-    monkeypatch.setenv(SOLVER_BINARY_ENV, "/nonexistent/solver-binary")
-    assert PortfolioStrategy()._backend_variants(SearchLimits()) == ()

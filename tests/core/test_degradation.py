@@ -38,9 +38,7 @@ from repro.sat.chaos import ChaosBackend
 from repro.sat.solver import SolveResult
 
 #: Every search strategy under test.
-STRATEGIES = ("linear", "bisection", "portfolio")
-#: The strategies that run one search in-process (no portfolio race).
-SINGLE_SEARCHES = ("linear", "bisection")
+STRATEGIES = ("linear", "bisection")
 
 #: The certified optimum of the triangle on the reduced bottom layout.
 TRIANGLE_OPTIMUM = 5
@@ -153,7 +151,7 @@ def test_transient_only_faults_certify_the_fault_free_optimum(
     assert report.statistics["backend_retries"] > 0
 
 
-@pytest.mark.parametrize("strategy", SINGLE_SEARCHES)
+@pytest.mark.parametrize("strategy", STRATEGIES)
 def test_retries_add_up_over_probes(strategy, monkeypatch):
     """Every probe is one solve on the search's one backend, and every
     solve meets exactly one transient fault: the report counts one retry
@@ -245,7 +243,7 @@ UNKNOWN_FIRST_PROBES = {
 }
 
 
-@pytest.mark.parametrize("strategy", SINGLE_SEARCHES)
+@pytest.mark.parametrize("strategy", STRATEGIES)
 def test_sat_model_after_an_unknown_probe_bounds_from_above(strategy, monkeypatch):
     """A SAT model reached after an undecided horizon is not certified
     minimal, but it is a schedule: the report ends ``deadline`` with that

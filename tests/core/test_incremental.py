@@ -92,7 +92,7 @@ def test_incremental_scheduler_respects_max_stages():
 
 
 @pytest.mark.parametrize("max_stages", [2, 3])
-@pytest.mark.parametrize("strategy", ["linear", "bisection", "portfolio"])
+@pytest.mark.parametrize("strategy", ["linear", "bisection"])
 def test_max_stages_caps_every_strategy(strategy, max_stages):
     """The chain's analytic lower bound is its optimum, 3: a cap below it is
     refuted without a probe, and a cap at it certifies with one probe."""

@@ -1,8 +1,8 @@
 """Tests for the minimum-stage search strategies.
 
 Covers the strategy table, the agreement of linear/bisection on the certified
-optimum across sub-instances of every registered code, the soundness of the
-analytic lower bound against certified optima, and the portfolio race.
+optimum across sub-instances of every registered code, and the soundness of
+the analytic lower bound against certified optima.
 """
 
 import pytest
@@ -11,14 +11,12 @@ from repro.arch import reduced_layout
 from repro.core.problem import SchedulingProblem, problem_from_document
 from repro.core.scheduler import SMTScheduler
 from repro.core.strategies import (
-    PortfolioStrategy,
     SearchContext,
     SearchLimits,
     available_strategies,
     get_strategy,
 )
 from repro.core.strategies.base import accumulate_statistics
-from repro.core.strategies.portfolio import DEFAULT_CONFIGS as PORTFOLIO_CONFIGS
 from repro.core.validator import validate_schedule
 from repro.evaluation.runner import SMT_INSTANCES, build_suite, smt_document
 from repro.qec import available_codes, get_code
@@ -62,14 +60,15 @@ def code_subproblem(code_name, kind="bottom", max_qubits=4):
 # Strategy table
 # --------------------------------------------------------------------------- #
 def test_registry_lists_builtin_strategies():
-    assert available_strategies() == ["bisection", "linear", "portfolio"]
+    assert available_strategies() == ["bisection", "linear"]
 
 
 def test_unknown_strategy_rejected():
-    with pytest.raises(ValueError):
-        get_strategy("simulated-annealing")
-    with pytest.raises(ValueError):
-        SMTScheduler(strategy="simulated-annealing")
+    for name in ("simulated-annealing", "portfolio"):
+        with pytest.raises(ValueError):
+            get_strategy(name)
+        with pytest.raises(ValueError):
+            SMTScheduler(strategy=name)
 
 
 # --------------------------------------------------------------------------- #
@@ -324,48 +323,15 @@ def test_bisection_falls_back_to_witness_under_harsh_limits():
 
 
 # --------------------------------------------------------------------------- #
-# Portfolio racing
+# The structured witness
 # --------------------------------------------------------------------------- #
-def test_portfolio_certifies_the_bisection_optimum_on_every_smoke_cell():
-    """Same optimal S as bisection on every (layout, instance) smoke cell."""
-    for kind in ("none", "bottom"):
-        for name, (num_qubits, gates) in SMT_INSTANCES.items():
-            problem = tiny_problem(kind, num_qubits, gates)
-            bisection = SMTScheduler(
-                time_limit_per_instance=300, strategy="bisection"
-            ).schedule(problem)
-            portfolio = SMTScheduler(
-                time_limit_per_instance=300, strategy="portfolio"
-            ).schedule(problem)
-            assert portfolio.found and portfolio.optimal, (kind, name)
-            assert (
-                portfolio.schedule.num_stages == bisection.schedule.num_stages
-            ), (kind, name)
-            assert portfolio.strategy == "portfolio"
-            assert portfolio.winner is not None
-            validate_schedule(
-                portfolio.schedule, require_shielding=problem.shielding
-            )
-
-
-def test_portfolio_narrow_interval_runs_inline():
-    """With LB == UB (single gate) no process fan-out can pay off; the
-    portfolio must certify through the inline bisection path."""
-    report = SMTScheduler(strategy="portfolio").schedule(
-        tiny_problem("bottom", 2, [(0, 1)])
-    )
-    assert report.found and report.optimal
-    assert report.schedule.num_stages == 1
-    assert report.winner == {"strategy": "bisection", "mode": "inline"}
-    assert report.strategy == "portfolio"
-
-
-def test_portfolio_computes_the_witness_once_even_when_none_applies(monkeypatch):
-    """Triage's ``None`` (no choreography applies) is handed on as an answer:
-    neither the inline path nor a raced configuration runs the constructive
-    pass again."""
-    from repro.core.strategies import portfolio, search
-    from repro.core.strategies.portfolio import run_portfolio_config
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_search_computes_the_witness_once_even_when_none_applies(
+    strategy, monkeypatch
+):
+    """The search runs the constructive pass once, before the first probe,
+    and a ``None`` (no choreography applies) leaves the interval open."""
+    from repro.core.strategies import search
 
     calls = []
     real = search.structured_upper_bound
@@ -375,91 +341,11 @@ def test_portfolio_computes_the_witness_once_even_when_none_applies(monkeypatch)
         return real(problem)
 
     monkeypatch.setattr(search, "structured_upper_bound", counting)
-    monkeypatch.setattr(portfolio, "structured_upper_bound", counting)
     # Non-regular load on the shielded storage-less layout: no witness.
     problem = SchedulingProblem.from_gates(
         tiny_layout("none"), 3, [(0, 1), (1, 2)], shielding=True
     )
     limits = SearchLimits(max_stages=problem.lower_bound() + 1)
-    report = PortfolioStrategy(jobs=1).run(problem, limits)
+    report = get_strategy(strategy).run(problem, limits)
     assert len(calls) == 1
     assert report.upper_bound is None and not report.found
-    for strategy in STRATEGIES:
-        task = (problem, {"strategy": strategy}, limits, {}, None)
-        assert not run_portfolio_config(task).found
-    assert len(calls) == 1
-
-
-def test_portfolio_race_first_certificate_wins_and_cancels_losers(monkeypatch):
-    """Forcing the race (jobs=2) on the wide-interval cell: the winner's
-    configuration is recorded and the losers are cancelled/terminated.
-
-    Left alone, linear and bisection certify the triangle within a tenth of
-    a second of each other, so both can land in the same poll and nobody
-    loses.  The linear configuration therefore runs on a chaos backend that
-    sleeps before every solve: bisection must win, and the pool shutdown
-    must terminate the sleeping loser."""
-    monkeypatch.setenv("REPRO_CHAOS_SPEC", "delay=60")
-    configs = [
-        {"strategy": "bisection", "sat_backend": "flat"},
-        {"strategy": "linear", "sat_backend": "chaos:flat"},
-    ]
-    problem = tiny_problem("bottom", 3, [(0, 1), (1, 2), (0, 2)])
-    report = PortfolioStrategy(configs=configs, jobs=2).run(
-        problem, SearchLimits(time_limit=300)
-    )
-    assert report.found and report.optimal
-    assert report.schedule.num_stages == 5
-    assert report.winner["mode"] == "raced"
-    assert report.winner["strategy"] == "bisection"
-    assert report.winner["sat_backend"] == "flat"
-    raced = report.winner["raced_configs"]
-    assert raced == len(configs)
-    assert report.winner["finished"] == 1
-    assert report.winner["cancelled"] == 1  # the sleeping linear lost
-    assert report.statistics["portfolio_cancelled"] == report.winner["cancelled"]
-    # The race ends at the winner's certificate, not the loser's sleep.
-    assert report.statistics["portfolio_race_seconds"] < 60
-    assert report.schedule.metadata["strategy"] == "portfolio"
-
-
-def test_portfolio_default_configs_race_to_the_optimum():
-    """The default configurations race (jobs=2) on the wide-interval cell;
-    whichever certifies first, it is one of them and the optimum is 5."""
-    problem = tiny_problem("bottom", 3, [(0, 1), (1, 2), (0, 2)])
-    report = PortfolioStrategy(jobs=2).run(problem, SearchLimits(time_limit=300))
-    assert report.found and report.optimal
-    assert report.schedule.num_stages == 5
-    assert report.winner["mode"] == "raced"
-    assert report.winner["strategy"] in {"bisection", "linear"}
-    raced = report.winner["raced_configs"]
-    assert raced == len(PORTFOLIO_CONFIGS)
-    assert 1 <= report.winner["finished"] <= raced
-    assert report.winner["finished"] + report.winner["cancelled"] == raced
-    assert report.statistics["portfolio_cancelled"] == report.winner["cancelled"]
-
-
-def test_portfolio_repeated_runs_return_the_same_optimal_s():
-    """Whichever configuration wins the race, the certified optimum is the
-    same — racing buys wall-clock, never answers."""
-    problem = tiny_problem("bottom", 3, [(0, 1), (1, 2), (0, 2)])
-    stage_counts = set()
-    for _ in range(2):
-        report = PortfolioStrategy(jobs=2).run(
-            problem, SearchLimits(time_limit=300)
-        )
-        assert report.found and report.optimal
-        stage_counts.add(report.schedule.num_stages)
-    assert stage_counts == {5}
-
-
-def test_portfolio_custom_configs_and_serial_fallback():
-    """jobs=1 must fall back to the deterministic inline path even on a
-    wide interval (nothing to race on one worker)."""
-    problem = tiny_problem("bottom", 3, [(0, 1), (1, 2), (0, 2)])
-    report = PortfolioStrategy(
-        configs=[{"strategy": "bisection"}, {"strategy": "linear"}], jobs=1
-    ).run(problem, SearchLimits(time_limit=300))
-    assert report.found and report.optimal
-    assert report.schedule.num_stages == 5
-    assert report.winner["mode"] == "inline"

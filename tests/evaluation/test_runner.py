@@ -1,11 +1,9 @@
 """Tests for the parallel batch evaluation engine."""
 
 import json
-import time
 
 import pytest
 
-from repro.evaluation.executor import race_to_first
 from repro.evaluation.runner import (
     BenchInstance,
     BenchResult,
@@ -13,7 +11,6 @@ from repro.evaluation.runner import (
     build_suite,
     check_backend_agreement,
     check_bounds_soundness,
-    check_portfolio_regression,
     execute_spec,
     format_batch,
     load_results,
@@ -30,9 +27,9 @@ from repro.evaluation.runner import (
 def test_build_suite_shapes():
     # 5 instances on the none/bottom layouts plus the 3 airborne-feasible
     # instances on the shielded storage-less pseudo-layout = 13 cells per
-    # strategy (linear, bisection, portfolio).
+    # strategy (linear, bisection).
     smt = build_suite("smt")
-    assert len(smt) == 3 * (2 * 5 + 3)
+    assert len(smt) == 2 * (2 * 5 + 3)
     assert all(inst.suite == "smt" for inst in smt)
     table1 = build_suite("table1", codes=["steane"])
     assert len(table1) == 3  # three layouts
@@ -254,126 +251,33 @@ def test_format_batch_mentions_instances():
 
 
 # --------------------------------------------------------------------------- #
-# Racing primitive (the portfolio strategy's pool machinery)
+# Payloads and schema version gating
 # --------------------------------------------------------------------------- #
-def _race_worker(task):
-    """Module-level so it pickles for the process pool."""
-    kind, value = task
-    if kind == "sleep":
-        time.sleep(value)
-        return ("slept", value)
-    if kind == "raise":
-        raise RuntimeError(f"boom {value}")
-    return ("value", value)
-
-
-def test_race_to_first_fast_task_wins_and_losers_are_cancelled():
-    tasks = [("sleep", 30.0), ("value", 42)]
-    start = time.monotonic()
-    outcome = race_to_first(_race_worker, tasks, jobs=2)
-    assert time.monotonic() - start < 20  # nowhere near the sleeper's 30s
-    assert outcome.winner_index == 1
-    assert outcome.winner == ("value", 42)
-    assert outcome.cancelled == [0]
-    assert 1 in outcome.finished
-
-
-def test_race_to_first_accept_predicate_filters_results():
-    tasks = [("value", 1), ("value", 2), ("sleep", 30.0)]
-    outcome = race_to_first(
-        _race_worker,
-        tasks,
-        jobs=3,
-        accept=lambda result: result[1] >= 2,
-    )
-    assert outcome.winner == ("value", 2)
-    assert 2 in outcome.cancelled
-
-
-def test_race_to_first_records_errors_and_keeps_racing():
-    tasks = [("raise", 7), ("value", 5)]
-    outcome = race_to_first(_race_worker, tasks, jobs=2)
-    assert outcome.winner == ("value", 5)
-    assert 0 not in outcome.finished
-    # Drive the no-winner path so the error recording itself is observable
-    # (the racing variant above may decide the race before task 0 fails).
-    outcome = race_to_first(
-        _race_worker, [("raise", 7)], jobs=1, accept=lambda result: False
-    )
-    assert outcome.winner_index is None
-    assert "boom 7" in outcome.errors[0]
-    assert outcome.finished == {}
-
-
-def test_race_to_first_without_winner_returns_everything():
-    tasks = [("value", 1), ("value", 2)]
-    outcome = race_to_first(
-        _race_worker, tasks, jobs=2, accept=lambda result: False
-    )
-    assert outcome.winner_index is None
-    assert outcome.winner is None
-    assert set(outcome.finished) == {0, 1}
-    assert outcome.cancelled == []
-
-
-# --------------------------------------------------------------------------- #
-# Portfolio payloads and schema version gating
-# --------------------------------------------------------------------------- #
-def test_execute_smt_portfolio_spec_records_winner():
-    [instance] = smt_suite(
-        strategies=("portfolio",), instances=["chain-2"], layout_kinds=("bottom",)
-    )
-    payload = execute_spec(instance.spec)
-    assert payload["strategy"] == "portfolio"
-    assert payload["found"] and payload["optimal"]
-    assert payload["num_stages"] == 3
-    winner = payload["winner"]
-    assert winner["strategy"] in {"bisection", "linear"}
-    assert winner["mode"] in {"inline", "raced"}
-    json.dumps(payload)  # payloads must stay JSON-serialisable
-
-
-def _fake_smt_result(
-    strategy, winner=None, num_stages=3, optimal=True, sat_backend="flat"
-):
-    payload = {
-        "strategy": strategy,
-        "sat_backend": sat_backend,
-        "layout": "bottom",
-        "instance": "chain-2",
-        "found": True,
-        "optimal": optimal,
-        "num_stages": num_stages,
-    }
-    if winner is not None:
-        payload["winner"] = winner
-    return BenchResult(
-        name=f"smt/{strategy}/bottom/chain-2",
+def test_save_results_document_carries_every_field(tmp_path):
+    """Every payload field a bench cell or loadtest writes survives saving."""
+    result = BenchResult(
+        name="smt/bisection/bottom/chain-2",
         suite="smt",
         status="ok",
         seconds=0.1,
-        payload=payload,
+        payload={
+            "strategy": "bisection",
+            "sat_backend": "flat",
+            "layout": "bottom",
+            "instance": "chain-2",
+            "found": True,
+            "optimal": True,
+            "num_stages": 3,
+            "lower_bound_source": "clique+transfer",
+            "upper_bound_source": "structured-airborne",
+            "sat_propagations_per_second": 1.5e6,
+            "termination": "certified",
+            "backend_retries": 0,
+            "latency_p50_seconds": 0.02,
+            "latency_p99_seconds": 0.09,
+            "cache_hit_rate": 0.5,
+        },
     )
-
-
-#: Payload fields beyond the search trajectory, with sample values.
-_PAYLOAD_FIELDS = {
-    "winner": {"strategy": "bisection"},
-    "sat_backend": "flat",
-    "lower_bound_source": "clique+transfer",
-    "upper_bound_source": "structured-airborne",
-    "sat_propagations_per_second": 1.5e6,
-    "termination": "certified",
-    "backend_retries": 0,
-    "latency_p50_seconds": 0.02,
-    "latency_p99_seconds": 0.09,
-    "cache_hit_rate": 0.5,
-}
-
-
-def test_save_results_document_carries_every_field(tmp_path):
-    result = _fake_smt_result("portfolio")
-    result.payload.update(_PAYLOAD_FIELDS)
     path = tmp_path / "run.json"
     save_results([result], path)
     document = json.loads(path.read_text())
@@ -405,32 +309,6 @@ def test_load_results_tolerates_documents_without_the_newer_fields(tmp_path):
     assert result.ok
     assert result.attempts == 1
     assert result.payload == entry["payload"]
-
-
-def test_check_portfolio_regression_accepts_matching_batches():
-    baseline = [_fake_smt_result("bisection")]
-    portfolio = [_fake_smt_result("portfolio", winner={"strategy": "linear"})]
-    assert check_portfolio_regression(baseline, portfolio) == [("bottom", "chain-2")]
-
-
-@pytest.mark.parametrize(
-    "portfolio_kwargs, message",
-    [
-        ({"num_stages": 4, "winner": {"strategy": "linear"}}, "stages"),
-        ({"optimal": False, "winner": {"strategy": "linear"}}, "certify"),
-        ({}, "winner"),
-    ],
-)
-def test_check_portfolio_regression_rejects_violations(portfolio_kwargs, message):
-    baseline = [_fake_smt_result("bisection")]
-    portfolio = [_fake_smt_result("portfolio", **portfolio_kwargs)]
-    with pytest.raises(ValueError, match=message):
-        check_portfolio_regression(baseline, portfolio)
-
-
-def test_check_portfolio_regression_requires_shared_cells():
-    with pytest.raises(ValueError):
-        check_portfolio_regression([], [])
 
 
 # --------------------------------------------------------------------------- #

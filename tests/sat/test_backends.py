@@ -24,7 +24,6 @@ from repro.sat.backend import (
     backend_info,
     create_backend,
     find_solver_binary,
-    usable_backends,
 )
 
 @pytest.fixture
@@ -84,14 +83,14 @@ def test_unknown_backend_name_raises_with_listing():
 
 def test_unavailable_backend_is_registered_but_not_usable(no_solver):
     assert "dimacs-subprocess" in available_backends()
-    assert "dimacs-subprocess" not in usable_backends()
+    assert not backend_info("dimacs-subprocess").is_available()
     assert find_solver_binary() is None
     with pytest.raises(RuntimeError, match="unavailable"):
         create_backend("dimacs-subprocess")
 
 
 def test_fake_solver_makes_the_subprocess_backend_usable(fake_solver):
-    assert "dimacs-subprocess" in usable_backends()
+    assert backend_info("dimacs-subprocess").is_available()
     backend = create_backend("dimacs-subprocess")
     assert isinstance(backend, DimacsSubprocessBackend)
     assert backend.binary == str(fake_solver)
@@ -117,7 +116,7 @@ def test_every_available_backend_agrees_with_brute_force(name, seed):
     """Registry-wide differential fuzz: identical SAT/UNSAT answers and
     genuinely satisfying models from every backend that is usable right now
     (the subprocess backend skips when no solver binary is installed)."""
-    if name not in usable_backends():
+    if not backend_info(name).is_available():
         pytest.skip(f"backend {name!r} is not usable in this environment")
     cnf = _random_cnf(random.Random(7000 + seed))
     expected = brute_force_satisfiable(cnf)
@@ -151,7 +150,7 @@ def test_flat_reference_and_ipasir_agree_on_unsat_heavy_formulas(seed):
     cnf = _unsat_heavy_cnf(random.Random(31000 + seed))
     expected = brute_force_satisfiable(cnf)
     solvers = [create_backend("flat"), create_backend("reference")]
-    if "ipasir" in usable_backends():
+    if backend_info("ipasir").is_available():
         solvers.append(create_backend("ipasir"))
     for solver in solvers:
         solver.add_cnf(cnf)
@@ -173,7 +172,7 @@ def test_backends_agree_on_pigeonhole_formulas(pigeons, holes):
     pigeons than holes, and find a genuine placement otherwise."""
     cnf = php_cnf(pigeons, holes)
     solvers = [create_backend("flat"), create_backend("reference")]
-    if "ipasir" in usable_backends():
+    if backend_info("ipasir").is_available():
         solvers.append(create_backend("ipasir"))
     for solver in solvers:
         solver.add_cnf(cnf)
@@ -195,7 +194,7 @@ def test_backends_agree_under_assumptions_on_unsat_heavy_formulas(seed):
         for v in rng.sample(range(1, cnf.num_vars + 1), 2)
     ]
     solvers = [create_backend("flat"), create_backend("reference")]
-    if "ipasir" in usable_backends():
+    if backend_info("ipasir").is_available():
         solvers.append(create_backend("ipasir"))
     verdicts = set()
     for solver in solvers:

@@ -9,7 +9,7 @@ true answer).
 
 import pytest
 
-from repro.sat.backend import backend_info, create_backend, usable_backends
+from repro.sat.backend import backend_info, create_backend
 from repro.sat.chaos import CHAOS_SPEC_ENV, ChaosBackend, FaultPlan
 from repro.sat.errors import (
     BackendError,
@@ -73,9 +73,7 @@ def test_default_plan_is_retry_winnable():
 # Registry resolution
 # --------------------------------------------------------------------------- #
 def test_chaos_is_registered_and_usable():
-    assert "chaos" in usable_backends()
-    info = backend_info("chaos")
-    assert not info.race_variant  # the portfolio must never race it
+    assert backend_info("chaos").is_available()
 
 
 def test_parameterised_names_resolve_to_derived_entries():

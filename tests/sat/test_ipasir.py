@@ -25,7 +25,7 @@ import pytest
 from test_sat_solver import brute_force_satisfiable
 
 from repro.sat import CNF, CDCLSolver, SolveResult
-from repro.sat.backend import available_backends, create_backend, usable_backends
+from repro.sat.backend import available_backends, backend_info, create_backend
 from repro.sat.ipasir import (
     IPASIR_LIB_ENV,
     IpasirBackend,
@@ -81,7 +81,7 @@ def test_ipasir_unusable_without_a_loadable_library(monkeypatch, tmp_path):
     monkeypatch.setenv(IPASIR_LIB_ENV, str(tmp_path / "libnowhere.so"))
     assert find_ipasir_library() is None
     assert load_ipasir_library() is None
-    assert "ipasir" not in usable_backends()
+    assert not backend_info("ipasir").is_available()
     with pytest.raises(RuntimeError, match="unavailable"):
         create_backend("ipasir")
 
@@ -102,7 +102,7 @@ def test_env_override_never_falls_through_to_probing(monkeypatch, tmp_path):
 # --------------------------------------------------------------------------- #
 def test_toy_library_loads_with_signature(toy_env):
     assert find_ipasir_library() == "toy-dpll-1.0"
-    assert "ipasir" in usable_backends()
+    assert backend_info("ipasir").is_available()
     backend = create_backend("ipasir")
     assert isinstance(backend, IpasirBackend)
     assert backend.signature == "toy-dpll-1.0"

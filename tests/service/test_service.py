@@ -483,6 +483,11 @@ def test_invalid_documents_get_400():
     [
         {"strategy": "nope"},
         {"strategy": "warmstart"},
+        {"strategy": "portfolio"},
+        {"strategy": 0},
+        {"strategy": False},
+        {"strategy": []},
+        {"strategy": ""},
         {"sat_backend": "nope"},
         {"time_limit": "abc"},
         {"deadline": "abc"},
@@ -497,6 +502,11 @@ def test_invalid_documents_get_400():
     ids=[
         "unknown-strategy",
         "deleted-strategy",
+        "deleted-portfolio-strategy",
+        "zero-strategy",
+        "false-strategy",
+        "empty-list-strategy",
+        "empty-string-strategy",
         "unknown-backend",
         "time-limit-string",
         "deadline-string",
@@ -554,7 +564,7 @@ def test_admission_accepts_every_runnable_solver_field():
         {"strategy": "linear", "sat_backend": "chaos:flat"},
         {"sat_backend": "chaos:flat", "chaos_spec": "seed=7,transient=1.0,consecutive=1"},
         {"chaos_spec": None},
-        {"strategy": "portfolio", "time_limit": 0, "deadline": 2.5},
+        {"strategy": "bisection", "time_limit": 0, "deadline": 2.5},
     ):
         check_solver_fields(fields, "bisection")
 

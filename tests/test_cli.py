@@ -259,6 +259,21 @@ def test_loadtest_rejects_a_strategy_the_service_does_not_know(capsys):
     assert "invalid choice: 'coldstart'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["schedule", "steane", "--strategy", "portfolio"],
+        ["bench", "--suite", "smt", "--strategy", "portfolio"],
+    ],
+    ids=["schedule", "bench"],
+)
+def test_the_deleted_portfolio_strategy_is_an_argparse_error(argv, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    assert "invalid choice: 'portfolio'" in capsys.readouterr().err
+
+
 def test_bench_command_writes_the_current_document(tmp_path, capsys):
     output = tmp_path / "bench.json"
     assert main(
