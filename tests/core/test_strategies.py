@@ -1,8 +1,9 @@
 """Tests for the minimum-stage search strategies.
 
 Covers the strategy table, the agreement of linear/bisection on the certified
-optimum across sub-instances of every registered code, and the soundness of
-the analytic lower bound against certified optima.
+optimum across sub-instances of every registered code and every smoke cell,
+the soundness of the analytic lower bound against certified optima, and the
+determinism of one in-process search per run.
 """
 
 import pytest
@@ -349,3 +350,70 @@ def test_search_computes_the_witness_once_even_when_none_applies(
     report = get_strategy(strategy).run(problem, limits)
     assert len(calls) == 1
     assert report.upper_bound is None and not report.found
+
+
+# --------------------------------------------------------------------------- #
+# One in-process search per run
+# --------------------------------------------------------------------------- #
+@pytest.mark.parametrize("layout_kind, instance_name", SMOKE_CELLS)
+def test_every_order_certifies_the_same_valid_schedule_size(layout_kind, instance_name):
+    """Both horizon orders certify the same optimum on every smoke cell, and
+    each certified schedule passes the independent validator and names the
+    order that produced it."""
+    problem = problem_from_document(smt_document(instance_name, layout_kind))
+    stage_counts = set()
+    for strategy in STRATEGIES:
+        report = SMTScheduler(time_limit_per_instance=300, strategy=strategy).schedule(
+            problem
+        )
+        assert report.found and report.optimal, strategy
+        assert report.strategy == strategy
+        assert report.schedule.metadata["strategy"] == strategy
+        validate_schedule(report.schedule, require_shielding=problem.shielding)
+        stage_counts.add(report.schedule.num_stages)
+    assert len(stage_counts) == 1
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_repeated_runs_repeat_the_whole_search(strategy):
+    """A run is one deterministic search: the same problem gives the same
+    probes, bounds, solver counters and schedule every time."""
+    problem = tiny_problem("bottom", 3, [(0, 1), (1, 2), (0, 2)])
+    first, second = (
+        get_strategy(strategy).run(problem, SearchLimits(time_limit=300))
+        for _ in range(2)
+    )
+    assert first.found and first.optimal
+    assert first.schedule.num_stages == 5
+    for field in ("stages_tried", "lower_bound", "upper_bound", "termination"):
+        assert getattr(first, field) == getattr(second, field), field
+    for key in ("sat_conflicts", "sat_decisions", "sat_propagations"):
+        assert first.statistics[key] == second.statistics[key], key
+    assert first.schedule.to_dict() == second.schedule.to_dict()
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_closed_intervals_certify_without_encoding(strategy, monkeypatch):
+    """Where the structured witness meets the analytic lower bound, the
+    search answers with the witness and never builds an SMT instance."""
+    from repro.core.strategies import base, search
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a closed interval must not be encoded")
+
+    monkeypatch.setattr(base, "encode_incremental_problem", refuse)
+    closed = 0
+    for layout_kind, instance_name in SMOKE_CELLS:
+        problem = problem_from_document(smt_document(instance_name, layout_kind))
+        witness = search.structured_upper_bound(problem)
+        if witness is None or witness.num_stages != problem.bound_breakdown().total:
+            continue
+        closed += 1
+        report = get_strategy(strategy).run(problem, SearchLimits(time_limit=300))
+        assert report.found and report.optimal, (layout_kind, instance_name)
+        assert report.stages_tried == []
+        assert report.lower_bound == report.upper_bound == report.schedule.num_stages
+        assert report.schedule.metadata["backend"] == "structured"
+        assert report.schedule.metadata["strategy"] == strategy
+    # single-gate, disjoint-pairs and ring-4 on all three layouts.
+    assert closed == 9

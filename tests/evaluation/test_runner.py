@@ -187,6 +187,25 @@ def test_execute_smt_spec_all_strategies_agree():
     json.dumps(payloads)
 
 
+@pytest.mark.parametrize(
+    "strategy, horizons", [("linear", [4, 5]), ("bisection", [5, 4])]
+)
+def test_execute_smt_spec_records_the_one_search_that_ran(strategy, horizons):
+    """A cell's payload describes the single search of its strategy: its
+    name, its own probe order and no record of any other configuration."""
+    [instance] = smt_suite(
+        strategies=(strategy,), instances=["triangle"], layout_kinds=("bottom",)
+    )
+    payload = execute_spec(instance.spec)
+    assert payload["strategy"] == strategy
+    assert payload["found"] and payload["optimal"] and payload["validated"]
+    assert payload["num_stages"] == 5
+    assert payload["stages_tried"] == horizons
+    assert payload["num_horizons"] == len(horizons)
+    assert "winner" not in payload
+    json.dumps(payload)
+
+
 def test_execute_smt_spec_records_search_trajectory():
     [instance] = smt_suite(
         strategies=("bisection",), instances=["chain-2"], layout_kinds=("bottom",)

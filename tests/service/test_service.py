@@ -569,6 +569,26 @@ def test_admission_accepts_every_runnable_solver_field():
         check_solver_fields(fields, "bisection")
 
 
+@pytest.mark.parametrize("doc_strategy", [None, "missing"])
+def test_null_or_missing_strategy_runs_the_service_default(doc_strategy):
+    """Only a null or absent ``strategy`` selects the service's default; the
+    request then runs that one search, probe order included."""
+
+    async def scenario(running):
+        extra = {} if doc_strategy == "missing" else {"strategy": doc_strategy}
+        status, events = await stream_schedule(
+            running.host, running.port, _doc("triangle", **extra)
+        )
+        assert status == 200
+        return events[-1]
+
+    result = _run(scenario, jobs=1, default_strategy="linear")
+    assert result["termination"] == TERMINATION_CERTIFIED
+    assert result["strategy"] == "linear"
+    assert result["stages_tried"] == [4, 5]
+    assert result["num_stages"] == 5
+
+
 def test_unknown_routes_and_methods():
     async def scenario(running):
         status, _body = await get_json(running.host, running.port, "/v1/nope")
