@@ -7,7 +7,7 @@ Examples
     repro-nasp codes                      # list the evaluation codes
     repro-nasp circuit steane             # show the prep circuit for a code
     repro-nasp schedule steane --layout bottom
-    repro-nasp schedule steane --strategy bisection --timeout 60
+    repro-nasp schedule steane --strategy linear --timeout 60
     repro-nasp bounds steane --layout bottom      # certificates, no solving
     repro-nasp bounds triangle --layout bottom    # smoke instances work too
     repro-nasp table1                     # regenerate Table I
@@ -23,6 +23,8 @@ Examples
     repro-nasp bench-trend baseline.json merged.json --json BENCH_TREND.json
     repro-nasp microbench --output microbench.json
     repro-nasp microbench --backend dimacs-subprocess flat
+    repro-nasp serve --port 8537          # strategy-less requests run linear
+    repro-nasp loadtest --requests 16 --seed 0
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from repro.arch import (
 )
 from repro.core.problem import SchedulingProblem
 from repro.core.scheduler import SMTScheduler
-from repro.core.strategies import available_strategies
+from repro.core.strategies import DEFAULT_STRATEGY, available_strategies
 from repro.core.structured import StructuredScheduler
 from repro.sat.backend import available_backends
 from repro.core.validator import validate_schedule
@@ -95,7 +97,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--strategy",
         choices=["structured", *available_strategies()],
         default="structured",
-        help="scheduling backend: the constructive choreography (default) or "
+        help="scheduling backend: the constructive choreography (default; "
+        "a witness without a search, so it returns on full-size codes) or "
         "an exact SMT search strategy (slow on full-size codes)",
     )
     schedule.add_argument(
@@ -361,8 +364,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--strategy",
         choices=list(SMT_STRATEGIES),
-        default="bisection",
-        help="default search strategy for requests that do not name one",
+        default=DEFAULT_STRATEGY,
+        help="search strategy for requests that do not name one "
+        "(default: %(default)s, the library's default)",
     )
     serve.add_argument(
         "--time-limit",
@@ -408,8 +412,9 @@ def build_parser() -> argparse.ArgumentParser:
     loadtest.add_argument(
         "--strategy",
         choices=list(SMT_STRATEGIES),
-        default="bisection",
-        help="search strategy for every request",
+        default=DEFAULT_STRATEGY,
+        help="search strategy for every request "
+        "(default: %(default)s, the library's default)",
     )
     loadtest.add_argument(
         "--deadline",

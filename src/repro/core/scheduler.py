@@ -5,15 +5,18 @@ stages — the scheduler decides fixed-``S`` instances with the SMT layer and
 searches over ``S`` with a *strategy*
 (:mod:`repro.core.strategies`):
 
-* ``linear`` (default) — the paper's Sec. V-A procedure: increment ``S``
-  from the analytic lower bound until the first satisfiable horizon, or
-  up to one below the structured scheduler's certified upper bound, whose
-  schedule is then the answer.
+* ``linear`` (:data:`~repro.core.strategies.DEFAULT_STRATEGY`, the
+  default of this class, the service, ``serve`` and ``loadtest``) — the
+  paper's Sec. V-A procedure: increment ``S`` from the analytic lower bound
+  until the first satisfiable horizon, or up to one below the structured
+  scheduler's certified upper bound, whose schedule is then the answer.
+  It never probes a satisfiable horizon above the optimum.
 * ``bisection`` — binary search between the
   :class:`~repro.core.problem.SchedulingProblem` IR's analytic lower bound
-  and the same certified upper bound; solves fewer horizons than
-  ``linear`` whenever the optimum sits more than a couple of steps above
-  the lower bound.
+  and the same certified upper bound.  It can take fewer probes when the
+  optimum sits far above the lower bound, but its satisfiable probes above
+  the optimum are the expensive ones: on the paper tier it spends more
+  conflicts than ``linear``.
 
 The two strategies differ only in the horizon they pick next: one
 in-process driver (:func:`repro.core.strategies.search.search`) computes the
@@ -42,7 +45,7 @@ from typing import Optional
 from repro.core.budget import Deadline
 from repro.core.problem import SchedulingProblem
 from repro.core.report import SchedulerReport
-from repro.core.strategies import SearchLimits, get_strategy
+from repro.core.strategies import DEFAULT_STRATEGY, SearchLimits, get_strategy
 from repro.core.validator import validate_schedule
 from repro.sat.backend import backend_info
 
@@ -63,7 +66,7 @@ class SMTScheduler:
         max_stages: int = 32,
         max_conflicts_per_instance: Optional[int] = None,
         time_limit_per_instance: Optional[float] = None,
-        strategy: str = "linear",
+        strategy: str = DEFAULT_STRATEGY,
         sat_backend: Optional[str] = None,
         deadline: Optional[float] = None,
     ) -> None:

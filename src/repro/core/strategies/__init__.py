@@ -2,11 +2,19 @@
 
 :data:`STRATEGIES` names every strategy the package offers:
 
-* ``linear`` — iterative deepening from the analytic lower bound (the
-  paper's Sec. V-A procedure), stopping below the structured scheduler's
-  certified upper bound.
+* ``linear`` (:data:`DEFAULT_STRATEGY`) — iterative deepening from the
+  analytic lower bound (the paper's Sec. V-A procedure), stopping below the
+  structured scheduler's certified upper bound.
 * ``bisection`` — binary search between the IR's analytic lower bound and
   the same certified upper bound.
+
+:data:`DEFAULT_STRATEGY` is the one default: :class:`SMTScheduler
+<repro.core.scheduler.SMTScheduler>`, the service
+(``SchedulingService(default_strategy=)``), the load test and the CLI's
+``serve``/``loadtest --strategy`` all read it.  It was decided on the paper
+tier: on Steane (Layout 2, ten labelings) and surface (paper labels)
+``linear`` certifies the same optima with fewer summed conflicts than
+``bisection``, whose SAT probes above the optimum cost the most.
 
 Both are horizon orders over one in-process driver,
 :func:`repro.core.strategies.search.search`, which owns the probe loop and
@@ -35,6 +43,9 @@ STRATEGIES = {
     "bisection": BisectionStrategy,
 }
 
+#: The strategy every entry point runs when none is named.
+DEFAULT_STRATEGY = "linear"
+
 
 def available_strategies() -> list[str]:
     """Names of all strategies (sorted)."""
@@ -53,6 +64,7 @@ def get_strategy(name: str):
 
 __all__ = [
     "BisectionStrategy",
+    "DEFAULT_STRATEGY",
     "LinearStrategy",
     "STRATEGIES",
     "SearchContext",

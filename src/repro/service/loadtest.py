@@ -23,6 +23,7 @@ import random
 import time
 from typing import Optional, Sequence
 
+from repro.core.strategies import DEFAULT_STRATEGY, get_strategy
 from repro.evaluation.runner import SMT_INSTANCES, BenchResult, smt_document
 from repro.service.client import get_json, stream_schedule
 from repro.service.server import start_service
@@ -77,14 +78,17 @@ def run_loadtest(
     seed: int = 0,
     instances: Sequence[str] = DEFAULT_INSTANCES,
     layout_kind: str = "bottom",
-    strategy: str = "bisection",
+    strategy: str = DEFAULT_STRATEGY,
     deadline: Optional[float] = None,
 ) -> dict:
     """Run the load test; returns the bench payload dict.
 
     The service queue is sized to hold the whole request budget, so the
-    measurement is latency under load, not 503 behaviour.
+    measurement is latency under load, not 503 behaviour.  Unknown
+    *instances* or *strategy* raise ``ValueError`` before the service
+    starts.
     """
+    get_strategy(strategy)
     unknown = set(instances) - set(SMT_INSTANCES)
     if unknown:
         raise ValueError(

@@ -108,6 +108,11 @@ from repro.core.report import (
     TERMINATION_CERTIFIED,
     TERMINATION_DEADLINE,
 )
+from repro.core.strategies import (
+    DEFAULT_STRATEGY,
+    available_strategies,
+    get_strategy,
+)
 from repro.evaluation.executor import (
     TASK_CRASHED,
     TASK_OK,
@@ -178,7 +183,6 @@ def check_solver_fields(doc: dict, default_strategy: str) -> None:
     ``ValueError``, which the server answers with ``400`` before the
     request takes a queue slot.
     """
-    from repro.core.strategies import available_strategies
     from repro.sat.backend import backend_info
     from repro.sat.chaos import FaultPlan
 
@@ -262,8 +266,15 @@ class SchedulingService:
     and the queue is full, :meth:`try_submit` refuses and the server
     answers 503 instead of accumulating unbounded work it cannot finish.
     Replacing a crashed or overrunning worker (terminate, join, fork) also
-    runs on the loop and stalls it for a few milliseconds, cache hits
-    included.  Every method must be called from that loop's thread.
+    runs on the loop and stalls it, cache hits included: for as long as the
+    old process takes to exit, which the pool waits for up to 5 s after
+    ``terminate`` and 5 s more after ``kill`` when a request overran its
+    hard timeout, and up to 10 s (then 10 s more after ``kill``) when a
+    worker crashed.  Every method must be called from that loop's thread.
+
+    *default_strategy* runs every request that names no strategy; an
+    unknown name raises ``ValueError`` here rather than turning every such
+    request into a 400.
     """
 
     def __init__(
@@ -272,11 +283,12 @@ class SchedulingService:
         queue_limit: int = 8,
         cache_path: str | os.PathLike | None = None,
         ledger_path: str | os.PathLike | None = None,
-        default_strategy: str = "bisection",
+        default_strategy: str = DEFAULT_STRATEGY,
         default_time_limit: Optional[float] = None,
         hard_timeout: Optional[float] = None,
         allow_selftest: bool = False,
     ):
+        get_strategy(default_strategy)  # raises ValueError before any fork
         self.default_strategy = default_strategy
         self.default_time_limit = default_time_limit
         self.hard_timeout = hard_timeout

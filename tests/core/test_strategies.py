@@ -359,9 +359,11 @@ def test_search_computes_the_witness_once_even_when_none_applies(
 def test_every_order_certifies_the_same_valid_schedule_size(layout_kind, instance_name):
     """Both horizon orders certify the same optimum on every smoke cell, and
     each certified schedule passes the independent validator and names the
-    order that produced it."""
+    order that produced it.  The default order, ``linear``, probes no more
+    horizons than ``bisection`` on any cell."""
     problem = problem_from_document(smt_document(instance_name, layout_kind))
     stage_counts = set()
+    probes = {}
     for strategy in STRATEGIES:
         report = SMTScheduler(time_limit_per_instance=300, strategy=strategy).schedule(
             problem
@@ -371,7 +373,9 @@ def test_every_order_certifies_the_same_valid_schedule_size(layout_kind, instanc
         assert report.schedule.metadata["strategy"] == strategy
         validate_schedule(report.schedule, require_shielding=problem.shielding)
         stage_counts.add(report.schedule.num_stages)
+        probes[strategy] = len(report.stages_tried)
     assert len(stage_counts) == 1
+    assert probes["linear"] <= probes["bisection"], probes
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)

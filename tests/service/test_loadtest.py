@@ -74,6 +74,8 @@ def test_run_loadtest_validates_inputs():
         run_loadtest(requests=2, instances=("no-such-instance",))
     with pytest.raises(ValueError, match="at least one request"):
         run_loadtest(requests=0)
+    with pytest.raises(ValueError, match="unknown strategy 'nope'"):
+        run_loadtest(requests=2, strategy="nope")
 
 
 # --------------------------------------------------------------------------- #

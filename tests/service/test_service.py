@@ -569,6 +569,19 @@ def test_admission_accepts_every_runnable_solver_field():
         check_solver_fields(fields, "bisection")
 
 
+def test_unknown_default_strategy_is_refused_at_construction(monkeypatch):
+    """A misconfigured default is the server's fault: it fails before the
+    pool forks, not as a 400 on every strategy-less request."""
+    from repro.service import server
+
+    def no_pool(*args, **kwargs):  # pragma: no cover - must not be reached
+        raise AssertionError("the pool started for an unknown default")
+
+    monkeypatch.setattr(server, "WorkerPool", no_pool)
+    with pytest.raises(ValueError, match="unknown strategy 'nope'"):
+        SchedulingService(default_strategy="nope")
+
+
 @pytest.mark.parametrize("doc_strategy", [None, "missing"])
 def test_null_or_missing_strategy_runs_the_service_default(doc_strategy):
     """Only a null or absent ``strategy`` selects the service's default; the

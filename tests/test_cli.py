@@ -226,18 +226,18 @@ def test_commands_write_one_document_shape_only(command):
     assert not [option for option in options if "version" in option]
 
 
-def _strategy_choices(command):
+def _strategy_option(command):
     [subcommands] = [
         action
         for action in build_parser()._actions
         if isinstance(action, argparse._SubParsersAction)
     ]
-    [choices] = [
-        action.choices
+    [option] = [
+        action
         for action in subcommands.choices[command]._actions
         if "--strategy" in action.option_strings
     ]
-    return choices
+    return option
 
 
 @pytest.mark.parametrize("command", ["bench", "serve", "loadtest"])
@@ -246,10 +246,31 @@ def test_strategy_choices_are_the_ones_the_service_admits(command):
     every request sent under it would fail."""
     from repro.service.server import check_solver_fields
 
-    choices = _strategy_choices(command)
+    choices = _strategy_option(command).choices
     assert choices
     for strategy in choices:
         check_solver_fields({"strategy": strategy}, default_strategy="linear")
+
+
+def test_every_entry_point_defaults_to_the_one_default_strategy():
+    """The library, the service, the load test and the CLI's serve/loadtest
+    run one default search order: ``linear``, the order with the lower
+    summed conflicts and the same optima on the paper tier."""
+    import inspect
+
+    from repro.core.scheduler import SMTScheduler
+    from repro.core.strategies import DEFAULT_STRATEGY
+    from repro.service import SchedulingService
+    from repro.service.loadtest import run_loadtest
+
+    assert DEFAULT_STRATEGY == "linear"
+    assert SMTScheduler().strategy == DEFAULT_STRATEGY
+    with SchedulingService(jobs=1) as service:
+        assert service.default_strategy == DEFAULT_STRATEGY
+    signature = inspect.signature(run_loadtest)
+    assert signature.parameters["strategy"].default == DEFAULT_STRATEGY
+    for command in ("serve", "loadtest"):
+        assert _strategy_option(command).default == DEFAULT_STRATEGY
 
 
 def test_loadtest_rejects_a_strategy_the_service_does_not_know(capsys):
