@@ -15,14 +15,14 @@ Examples
     repro-nasp explore surface            # architecture design-space sweep
     repro-nasp bench --suite smt --jobs 4 --output results.json
     repro-nasp bench --suite smt --strategy linear bisection --output out.json
-    repro-nasp bench --suite smt --sat-backend dimacs-subprocess --output ext.json
+    repro-nasp bench --suite smt --sat-backend ipasir --output ext.json
     repro-nasp bench --suite smt --journal run.jsonl --output run.json
     repro-nasp bench --suite smt --resume run.jsonl --output run.json
     repro-nasp bench --suite smt --shard 0/2 --output shard0.json
     repro-nasp bench-merge shard0.json shard1.json --output merged.json
     repro-nasp bench-trend baseline.json merged.json --json BENCH_TREND.json
     repro-nasp microbench --output microbench.json
-    repro-nasp microbench --backend dimacs-subprocess flat
+    repro-nasp microbench --backend ipasir flat
     repro-nasp serve --port 8537          # strategy-less requests run linear
     repro-nasp loadtest --requests 16 --seed 0
 """
@@ -74,6 +74,30 @@ _LAYOUTS = {
 }
 
 
+def _add_sat_backend_option(parser: argparse.ArgumentParser, role: str) -> None:
+    """Add ``--sat-backend``; *role* says which probes the backend decides."""
+    parser.add_argument(
+        "--sat-backend",
+        metavar="BACKEND",
+        default=None,
+        help=f"SAT backend for {role} (one of: "
+        f"{', '.join(available_backends())}; default: the in-process "
+        "flat-array core; 'chaos:BACKEND' wraps BACKEND in the "
+        "fault-injection proxy)",
+    )
+
+
+def _positive_int(text: str) -> int:
+    """``argparse`` type: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Construct the argument parser."""
     parser = argparse.ArgumentParser(
@@ -117,15 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
         "best-known schedule, sound bound interval, and a termination "
         "verdict — instead of failing",
     )
-    schedule.add_argument(
-        "--sat-backend",
-        metavar="BACKEND",
-        default=None,
-        help="SAT backend deciding the SMT probes (one of: "
-        f"{', '.join(available_backends())}; default: the in-process "
-        "flat-array core; 'chaos:BACKEND' wraps BACKEND in the "
-        "fault-injection proxy)",
-    )
+    _add_sat_backend_option(schedule, "the SMT probes")
     schedule.add_argument("--json", action="store_true", help="dump the schedule as JSON")
     schedule.add_argument(
         "--render", action="store_true", help="draw every stage as an ASCII site grid"
@@ -187,15 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
         dest="strategies",
         help="search strategies for the smt suite (default: all)",
     )
-    bench.add_argument(
-        "--sat-backend",
-        metavar="BACKEND",
-        default=None,
-        help="SAT backend for the smt suite's SMT probes (one of: "
-        f"{', '.join(available_backends())}; default: the in-process "
-        "flat-array core; 'chaos:BACKEND' wraps BACKEND in the "
-        "fault-injection proxy)",
-    )
+    _add_sat_backend_option(bench, "the smt suite's SMT probes")
     bench.add_argument(
         "--jobs",
         type=int,
@@ -340,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--host", default="127.0.0.1", help="bind address")
     serve.add_argument("--port", type=int, default=8537, help="bind port")
     serve.add_argument(
-        "--jobs", type=int, default=2, help="persistent solver workers"
+        "--jobs", type=_positive_int, default=2, help="persistent solver workers"
     )
     serve.add_argument(
         "--queue-limit",
@@ -495,7 +503,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                     deadline=args.deadline,
                 )
             except ValueError as exc:
-                # E.g. the requested SAT backend has no solver binary.
+                # E.g. the requested SAT backend has no loadable library.
                 print(f"error: {exc}", file=sys.stderr)
                 return 1
             report = scheduler.schedule(problem)
@@ -802,22 +810,23 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.command == "serve":
         from repro.service import run_service
 
-        print(
-            f"serving on http://{args.host}:{args.port} "
-            f"({args.jobs} worker(s), queue limit {args.queue_limit})",
-            file=sys.stderr,
-        )
-        run_service(
-            host=args.host,
-            port=args.port,
-            jobs=args.jobs,
-            queue_limit=args.queue_limit,
-            cache_path=args.cache,
-            ledger_path=args.ledger,
-            default_strategy=args.strategy,
-            default_time_limit=args.time_limit,
-            hard_timeout=args.hard_timeout,
-        )
+        # run_service prints the bound address once it is listening.
+        try:
+            run_service(
+                host=args.host,
+                port=args.port,
+                jobs=args.jobs,
+                queue_limit=args.queue_limit,
+                cache_path=args.cache,
+                ledger_path=args.ledger,
+                default_strategy=args.strategy,
+                default_time_limit=args.time_limit,
+                hard_timeout=args.hard_timeout,
+            )
+        except OSError as exc:
+            # A busy port, or a --cache/--ledger path that cannot be opened.
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
         return 0
 
     if args.command == "loadtest":

@@ -18,9 +18,10 @@ corresponding variable.
 * :class:`repro.sat.reference.ReferenceCDCLSolver` — the seed's object-style
   implementation, kept as benchmark baseline and differential-testing oracle.
 * :mod:`repro.sat.backend` — the pluggable backend subsystem: the
-  :class:`~repro.sat.backend.SatBackend` protocol, the name-keyed registry
-  (``flat`` / ``reference`` / ``dimacs-subprocess``), and the external
-  DIMACS-subprocess adapter.
+  :class:`~repro.sat.backend.SatBackend` protocol and the name-keyed
+  registry (``flat`` / ``reference`` / ``ipasir`` / ``chaos``).
+* :class:`repro.sat.ipasir.IpasirBackend` — the one external-solver seam:
+  a ctypes binding of a native incremental IPASIR library.
 * :class:`repro.sat.solver.SolveResult` — SAT / UNSAT / UNKNOWN.
 * :class:`repro.sat.solver.SolverStatistics` — per-solver counters
   (propagations, conflicts, restarts, solve seconds, derived throughput).
@@ -29,7 +30,6 @@ corresponding variable.
 
 from repro.sat.backend import (
     DEFAULT_BACKEND,
-    DimacsSubprocessBackend,
     SatBackend,
     available_backends,
     backend_info,
@@ -52,7 +52,6 @@ __all__ = [
     "CDCLSolver",
     "ChaosBackend",
     "DEFAULT_BACKEND",
-    "DimacsSubprocessBackend",
     "FaultPlan",
     "PermanentBackendError",
     "ReferenceCDCLSolver",

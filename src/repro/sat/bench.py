@@ -11,7 +11,7 @@ must return the same SAT/UNSAT answer; the comparison records
 
 * ``seconds`` — wall-clock of the single :meth:`solve` call,
 * ``propagations_per_second`` — the hot-loop throughput metric (``None``
-  for backends that keep no propagation counter, e.g. subprocess solvers),
+  for backends that keep no propagation counter, e.g. an IPASIR library),
 * ``speedup`` — baseline seconds / candidate seconds (> 1 means the
   candidate is faster),
 * ``throughput_ratio`` — candidate propagations/s over baseline
@@ -80,7 +80,7 @@ def measure_core(cnf: CNF, factory: Callable, repeats: int = DEFAULT_REPEATS) ->
     # Floor at 1 ns: a run below clock granularity is "infinitely fast" and
     # must read as a huge rate, never as zero throughput.
     floored = max(seconds, 1e-9)
-    # A backend without a propagation counter (subprocess solvers) reports
+    # A backend without a propagation counter (an IPASIR library) reports
     # None, not zero — absence of telemetry is not zero throughput.
     propagations = counters.get("propagations")
     return {

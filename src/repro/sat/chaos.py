@@ -147,7 +147,6 @@ class ChaosBackend:
         self._inner = inner
         self._plan = plan if plan is not None else FaultPlan.from_environment()
         self._rng = random.Random(self._plan.seed)
-        self.supports_assumptions = getattr(inner, "supports_assumptions", True)
         self._solves = 0
         self._consecutive_transients = 0
         self._transient_faults = 0

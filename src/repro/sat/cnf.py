@@ -29,7 +29,6 @@ class CNF:
             raise ValueError("num_vars must be non-negative")
         self._clauses: list[tuple[int, ...]] = []
         self._num_vars = num_vars
-        self._dimacs_body: str | None = None
         for clause in clauses:
             self.add_clause(clause)
 
@@ -78,7 +77,6 @@ class CNF:
             if abs(lit) > self._num_vars:
                 self._num_vars = abs(lit)
         self._clauses.append(tuple(clause))
-        self._dimacs_body = None
 
     def extend(self, clauses: Iterable[Iterable[int]]) -> None:
         """Add several clauses at once."""
@@ -109,34 +107,12 @@ class CNF:
     # ------------------------------------------------------------------ #
     # DIMACS serialisation
     # ------------------------------------------------------------------ #
-    @property
-    def dimacs_body_cached(self) -> bool:
-        """Whether :meth:`dimacs_body` is currently memoised.
-
-        Lets consumers (the ``dimacs-subprocess`` backend's dump cache)
-        observe cache effectiveness without re-serialising to find out.
-        """
-        return self._dimacs_body is not None
-
-    def dimacs_body(self) -> str:
-        """The DIMACS clause lines (no ``p cnf`` header), memoised.
-
-        The memo is invalidated whenever a clause is added, so consecutive
-        solver probes over an unchanged clause set (e.g. assumption-emulated
-        horizon probes, where only the appended unit clauses differ) pay the
-        serialisation cost once.  ``new_var`` does not invalidate: variables
-        only appear in the header, which callers write themselves.
-        """
-        if self._dimacs_body is None:
-            self._dimacs_body = "".join(
-                " ".join(map(str, clause)) + " 0\n" for clause in self._clauses
-            )
-        return self._dimacs_body
-
     def to_dimacs(self) -> str:
         """Serialise to the DIMACS CNF text format."""
         header = f"p cnf {self._num_vars} {len(self._clauses)}\n"
-        return header + self.dimacs_body()
+        return header + "".join(
+            " ".join(map(str, clause)) + " 0\n" for clause in self._clauses
+        )
 
     @classmethod
     def from_dimacs(cls, text: str) -> "CNF":

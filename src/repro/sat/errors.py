@@ -4,13 +4,12 @@ Backends classify their failures so the SMT facade can decide between
 retrying and degrading:
 
 * :class:`TransientBackendError` — the solve *attempt* failed but the
-  backend's clause database is intact and a retry may succeed (a crashed
-  subprocess, a flaky native library call, an injected chaos fault).  The
+  backend's clause database is intact and a retry may succeed (a flaky
+  native library call, an injected chaos fault).  The
   :class:`repro.smt.solver.Solver` retries these with bounded deterministic
   backoff before escalating.
 * :class:`PermanentBackendError` — the backend cannot serve further solves
-  (unparseable model output, unmet runtime requirements, a crash-after-N
-  chaos fault).  Never retried; strategies degrade to a report with
+  (unmet runtime requirements, a crash-after-N chaos fault).  Never retried; strategies degrade to a report with
   ``termination="backend-error"`` and the analytic interval intact.
 
 Both derive from :class:`BackendError`, which itself derives from

@@ -3,16 +3,15 @@
 `IPASIR <https://github.com/biotomas/ipasir>`_ is the standard incremental
 interface of the SAT competition (``ipasir_init`` / ``ipasir_add`` /
 ``ipasir_assume`` / ``ipasir_solve`` / ``ipasir_val``), exported by
-``libcadical.so``, ``libkissat.so`` and friends.  Binding it gives the
-scheduler what the ``dimacs-subprocess`` backend fundamentally cannot: a
-*native* solver that keeps its learned clauses across horizon probes,
-because assumptions are passed through ``ipasir_assume`` instead of being
-re-encoded as unit clauses of a fresh DIMACS dump.
+``libcadical.so``, ``libkissat.so`` and friends.  It is this package's one
+seam for external solvers: a *native* solver that keeps its learned clauses
+across horizon probes, because assumptions are passed through
+``ipasir_assume`` rather than baked into the formula.
 
 The library is located via ``$REPRO_IPASIR_LIB`` (a path or a bare soname)
-or by probing well-known sonames; like the subprocess backend, the
-registered ``ipasir`` backend stays *registered but unusable* when nothing
-loads, so schedulers fail fast and tests skip instead of erroring.
+or by probing well-known sonames; the registered ``ipasir`` backend stays
+*registered but unusable* when nothing loads, so schedulers fail fast and
+tests skip instead of erroring.
 
 Two optional extensions are used when the loaded library exports them:
 
@@ -170,7 +169,6 @@ class IpasirBackend:
     """
 
     backend_name = "ipasir"
-    supports_assumptions = True
 
     def __init__(self, library: object = None) -> None:
         if library is None:

@@ -44,7 +44,6 @@ class ReferenceCDCLSolver:
     #: :class:`repro.sat.backend.SatBackend` surface (additive metadata only;
     #: the algorithmic content below stays the seed implementation).
     backend_name = "reference"
-    supports_assumptions = True
 
     def __init__(self) -> None:
         self._num_vars = 0

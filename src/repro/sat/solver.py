@@ -150,7 +150,6 @@ class CDCLSolver:
 
     #: :class:`repro.sat.backend.SatBackend` surface.
     backend_name = "flat"
-    supports_assumptions = True
 
     def __init__(self) -> None:
         """Create an empty solver."""

@@ -1007,7 +1007,8 @@ def run_service(host: str = "127.0.0.1", port: int = 8537, **config) -> None:
         print(
             f"repro-nasp service listening on http://{running.host}:{running.port} "
             f"(jobs={running.service._pool.stats()['jobs']}, "
-            f"queue_limit={running.service.queue_limit})"
+            f"queue_limit={running.service.queue_limit})",
+            flush=True,
         )
         try:
             await asyncio.Event().wait()

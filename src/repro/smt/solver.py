@@ -4,16 +4,15 @@
 integer and boolean variables), bit-blasts them with
 :class:`repro.smt.encoder.ExpressionEncoder` and decides them with a SAT
 *backend* constructed through the :mod:`repro.sat.backend` registry
-(``Solver(backend="flat" | "reference" | "dimacs-subprocess" | ...)``; the
+(``Solver(backend="flat" | "reference" | "ipasir" | ...)``; the
 default is the in-process flat-array CDCL core).  The interface mirrors the
 subset of the Z3 Python API used by the paper's scheduling encoding:
 ``add``, ``check`` (with assumptions), ``model`` and per-call resource
 limits.
 
-Backends advertise capability flags, and the facade degrades gracefully
-along them: assumptions are refused (not dropped) on a backend without
-``supports_assumptions``, and the per-check statistics only report the
-counters (and derived throughput rates) the backend actually keeps.
+Every backend takes assumptions natively.  Backends differ in the
+counters they keep, and the per-check statistics only report the counters
+(and derived throughput rates) the backend actually keeps.
 
 The solver is incremental: one SAT backend and one expression encoder
 persist across checks, and each :meth:`Solver.check` encodes only the
@@ -243,16 +242,6 @@ class Solver:
         self._encoded_variables = len(self._variables)
         self._encoded_constraints = len(self._constraints)
         assumption_literals = [encoder.encode_bool(a) for a in assumptions]
-        if assumption_literals and not getattr(
-            sat_solver, "supports_assumptions", True
-        ):
-            # Assumptions are semantics: a backend that ignored them would decide the unconstrained formula and
-            # silently certify wrong optima.  Fail loudly instead.
-            raise RuntimeError(
-                f"SAT backend {self._backend_name!r} does not support "
-                "assumptions; use an assumption-capable backend for "
-                "check(assumptions=...)"
-            )
         encode_time = time.monotonic() - start
         stats_before = sat_solver.statistics()
         result = self._solve_with_retries(

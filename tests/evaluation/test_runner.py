@@ -146,11 +146,11 @@ def test_check_backend_agreement_rejects_disagreements():
         check_backend_agreement([result("flat")], [])
     with pytest.raises(ValueError, match="certified 4"):
         check_backend_agreement(
-            [result("flat")], [result("dimacs-subprocess", num_stages=4)]
+            [result("flat")], [result("ipasir", num_stages=4)]
         )
     with pytest.raises(ValueError, match="failed to certify"):
         check_backend_agreement(
-            [result("flat")], [result("dimacs-subprocess", optimal=False)]
+            [result("flat")], [result("ipasir", optimal=False)]
         )
     with pytest.raises(ValueError, match="does not record"):
         check_backend_agreement([result("flat")], [result(None)])
@@ -158,7 +158,7 @@ def test_check_backend_agreement_rejects_disagreements():
     # cell; the check must refuse instead of comparing vacuously.
     with pytest.raises(ValueError, match="mixes SAT backends"):
         check_backend_agreement(
-            [result("flat"), result("reference")], [result("dimacs-subprocess")]
+            [result("flat"), result("reference")], [result("ipasir")]
         )
 
 

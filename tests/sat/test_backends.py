@@ -1,11 +1,8 @@
 """Tests for the pluggable SAT backend subsystem.
 
-Covers the registry, the capability flags, differential fuzzing of every
-registered backend against a brute-force oracle, and the external
-``dimacs-subprocess`` backend — driven through the *fake* solver binaries
-of ``tests/conftest.py`` (both the competition ``v``-line convention and
-the minisat result-file convention), so the real subprocess machinery is
-exercised deterministically with no system solver installed.
+Covers the registry, differential fuzzing of every registered backend
+against a brute-force oracle, and the microbench over backend pairs (the
+external ``ipasir`` backend runs on the toy library of ``tests/conftest.py``).
 """
 
 import random
@@ -17,47 +14,21 @@ from test_sat_solver import brute_force_satisfiable, php_cnf
 from repro.sat import CNF, CDCLSolver, ReferenceCDCLSolver, SolveResult
 from repro.sat.backend import (
     DEFAULT_BACKEND,
-    SOLVER_BINARY_ENV,
-    DimacsSubprocessBackend,
     SatBackend,
     available_backends,
     backend_info,
     create_backend,
-    find_solver_binary,
 )
-
-@pytest.fixture
-def fake_solver(monkeypatch, write_fake_solver):
-    """A competition-style fake binary installed as the external solver."""
-    script = write_fake_solver("fakesat")
-    monkeypatch.setenv(SOLVER_BINARY_ENV, str(script))
-    return script
-
-
-@pytest.fixture
-def fake_minisat(monkeypatch, write_fake_solver):
-    """A result-file-style fake binary (the name triggers the convention)."""
-    script = write_fake_solver("minisat-fake", style="result-file")
-    monkeypatch.setenv(SOLVER_BINARY_ENV, str(script))
-    return script
-
-
-@pytest.fixture
-def no_solver(monkeypatch):
-    """Deterministically hide every external solver binary."""
-    monkeypatch.setenv(SOLVER_BINARY_ENV, "/nonexistent/solver-binary")
 
 
 # --------------------------------------------------------------------------- #
 # Registry
 # --------------------------------------------------------------------------- #
-def test_builtin_backends_are_registered():
-    names = available_backends()
-    assert "flat" in names
-    assert "reference" in names
-    assert "dimacs-subprocess" in names
-    assert "ipasir" in names
+def test_builtin_backends_are_registered(deleted_backend):
+    assert available_backends() == ["chaos", "flat", "ipasir", "reference"]
     assert DEFAULT_BACKEND == "flat"
+    with pytest.raises(ValueError, match="unknown SAT backend"):
+        backend_info(deleted_backend)
 
 
 def test_create_backend_instantiates_the_registered_classes():
@@ -71,30 +42,13 @@ def test_in_process_backends_satisfy_the_protocol():
         solver = create_backend(name)
         assert isinstance(solver, SatBackend)
         assert solver.backend_name == name
-        assert solver.supports_assumptions
 
 
 def test_unknown_backend_name_raises_with_listing():
-    with pytest.raises(ValueError, match="dimacs-subprocess"):
+    with pytest.raises(ValueError, match="chaos, flat, ipasir, reference"):
         create_backend("no-such-backend")
     with pytest.raises(ValueError, match="unknown SAT backend"):
         backend_info("no-such-backend")
-
-
-def test_unavailable_backend_is_registered_but_not_usable(no_solver):
-    assert "dimacs-subprocess" in available_backends()
-    assert not backend_info("dimacs-subprocess").is_available()
-    assert find_solver_binary() is None
-    with pytest.raises(RuntimeError, match="unavailable"):
-        create_backend("dimacs-subprocess")
-
-
-def test_fake_solver_makes_the_subprocess_backend_usable(fake_solver):
-    assert backend_info("dimacs-subprocess").is_available()
-    backend = create_backend("dimacs-subprocess")
-    assert isinstance(backend, DimacsSubprocessBackend)
-    assert backend.binary == str(fake_solver)
-    assert isinstance(backend, SatBackend)
 
 
 # --------------------------------------------------------------------------- #
@@ -115,7 +69,7 @@ def _random_cnf(rng: random.Random) -> CNF:
 def test_every_available_backend_agrees_with_brute_force(name, seed):
     """Registry-wide differential fuzz: identical SAT/UNSAT answers and
     genuinely satisfying models from every backend that is usable right now
-    (the subprocess backend skips when no solver binary is installed)."""
+    (``ipasir`` skips when no library loads)."""
     if not backend_info(name).is_available():
         pytest.skip(f"backend {name!r} is not usable in this environment")
     cnf = _random_cnf(random.Random(7000 + seed))
@@ -209,101 +163,6 @@ def test_backends_agree_under_assumptions_on_unsat_heavy_formulas(seed):
     assert len(verdicts) == 1, verdicts
 
 
-@pytest.mark.parametrize("style", ["competition", "result-file"])
-@pytest.mark.parametrize("seed", range(6))
-def test_subprocess_backend_agrees_with_flat_core(
-    monkeypatch, write_fake_solver, style, seed
-):
-    """The DIMACS pipe, exit codes, and both model conventions round-trip."""
-    name = "fakesat" if style == "competition" else "minisat-fake"
-    script = write_fake_solver(name, style=style)
-    monkeypatch.setenv(SOLVER_BINARY_ENV, str(script))
-    cnf = _random_cnf(random.Random(9000 + seed))
-    flat = CDCLSolver()
-    flat.add_cnf(cnf)
-    expected = flat.solve()
-    backend = create_backend("dimacs-subprocess")
-    backend.add_cnf(cnf)
-    result = backend.solve()
-    assert result is expected
-    if result is SolveResult.SAT:
-        assert cnf.evaluate(backend.model())
-
-
-# --------------------------------------------------------------------------- #
-# Subprocess backend behaviour
-# --------------------------------------------------------------------------- #
-def test_subprocess_backend_emulates_assumptions(fake_solver):
-    backend = create_backend("dimacs-subprocess")
-    a, b = backend.new_var(), backend.new_var()
-    backend.add_clause([a, b])
-    assert backend.solve(assumptions=[-a]) is SolveResult.SAT
-    assert backend.model()[b] is True
-    assert backend.solve(assumptions=[-a, -b]) is SolveResult.UNSAT
-    # The base formula is untouched by the unit-clause emulation.
-    assert backend.solve() is SolveResult.SAT
-    assert backend.num_clauses == 1
-
-
-def test_subprocess_backend_incremental_clause_addition(fake_minisat):
-    backend = create_backend("dimacs-subprocess")
-    a, b = backend.new_var(), backend.new_var()
-    backend.add_clause([a, b])
-    assert backend.solve() is SolveResult.SAT
-    backend.add_clause([-a])
-    assert backend.solve() is SolveResult.SAT
-    assert backend.model()[b] is True
-    backend.add_clause([-b])
-    assert backend.solve() is SolveResult.UNSAT
-
-
-def test_subprocess_backend_empty_clause_short_circuits(fake_solver):
-    backend = create_backend("dimacs-subprocess")
-    backend.new_var()
-    assert backend.add_clause([]) is False
-    assert backend.solve() is SolveResult.UNSAT
-    assert backend.statistics()["subprocess_solves"] == 0  # no subprocess run
-
-
-def test_subprocess_backend_statistics_count_solves(fake_solver):
-    backend = create_backend("dimacs-subprocess")
-    v = backend.new_var()
-    backend.add_clause([v])
-    assert backend.solve() is SolveResult.SAT
-    assert backend.solve(assumptions=[v]) is SolveResult.SAT
-    counters = backend.statistics()
-    assert counters["subprocess_solves"] == 2
-    assert counters["solve_seconds"] > 0
-    assert "propagations" not in counters  # not observable through a pipe
-
-
-def test_subprocess_backend_caches_the_dimacs_dump_between_probes(fake_solver):
-    """Repeated probes on an unchanged clause DB reuse the memoised DIMACS
-    body (assumption units only touch the header clause count); adding a
-    clause invalidates the cache."""
-    backend = create_backend("dimacs-subprocess")
-    a, b = backend.new_var(), backend.new_var()
-    backend.add_clause([a, b])
-    assert backend.solve() is SolveResult.SAT  # cold dump
-    assert backend.statistics()["dimacs_dump_cache_hits"] == 0
-    assert backend.solve(assumptions=[-a]) is SolveResult.SAT
-    assert backend.solve(assumptions=[-b]) is SolveResult.SAT
-    assert backend.statistics()["dimacs_dump_cache_hits"] == 2
-    backend.add_clause([-a])  # clause DB changed: dump must be rebuilt
-    assert backend.solve(assumptions=[-b]) is SolveResult.UNSAT
-    assert backend.statistics()["dimacs_dump_cache_hits"] == 2
-    assert backend.solve() is SolveResult.SAT
-    assert backend.statistics()["dimacs_dump_cache_hits"] == 3
-
-
-def test_subprocess_backend_model_before_solve_raises(fake_solver):
-    backend = create_backend("dimacs-subprocess")
-    v = backend.new_var()
-    backend.add_clause([v])
-    with pytest.raises(RuntimeError):
-        backend.model()
-
-
 # --------------------------------------------------------------------------- #
 # Microbench over arbitrary backend pairs
 # --------------------------------------------------------------------------- #
@@ -322,64 +181,18 @@ def test_microbench_compares_any_registered_backend_pair():
         compare_cores(scheduling_cnf(**cell), repeats=1, backends=("flat", "flat"))
 
 
-def test_microbench_handles_backends_without_propagation_counters(fake_solver):
+def test_microbench_handles_backends_without_propagation_counters(toy_env):
     from repro.sat.bench import run_microbench
 
     document = run_microbench(
         cells=[{"layout": "none", "instance": "single-gate", "num_stages": 1}],
         repeats=1,
-        backends=("flat", "dimacs-subprocess"),
+        backends=("flat", "ipasir"),
     )
     [result] = document["cells"]
-    # No propagation telemetry through a pipe: the ratio is None (excluded
-    # from the gate), never a spurious zero or infinity.
+    # An IPASIR library exposes no propagation counter: the ratio is None
+    # (excluded from the gate), never a spurious zero or infinity.
     assert result["throughput_ratio"] is None
-    assert result["dimacs-subprocess"]["propagations_per_second"] is None
+    assert result["ipasir"]["propagations_per_second"] is None
+    assert result["ipasir"]["result"] == result["flat"]["result"]
     assert document["min_throughput_ratio"] is None
-
-
-@pytest.mark.parametrize(
-    ("basename", "result_file_style"),
-    [
-        ("minisat", True),
-        ("minisat_static", True),
-        ("glucose-simp", True),
-        ("cryptominisat5", False),  # contains "minisat" but speaks v-lines
-        ("kissat", False),
-        ("picosat", False),
-    ],
-)
-def test_result_file_convention_is_detected_by_basename_prefix(
-    write_fake_solver, basename, result_file_style
-):
-    backend = DimacsSubprocessBackend(binary=str(write_fake_solver(basename)))
-    assert backend._result_file_style is result_file_style
-
-
-def test_subprocess_backend_crash_reports_the_binary(tmp_path, monkeypatch):
-    script = tmp_path / "crashsat"
-    script.write_text("#!/bin/sh\necho boom >&2\nexit 3\n")
-    script.chmod(0o755)
-    monkeypatch.setenv(SOLVER_BINARY_ENV, str(script))
-    backend = create_backend("dimacs-subprocess")
-    v = backend.new_var()
-    backend.add_clause([v])
-    with pytest.raises(RuntimeError, match="neither SAT nor UNSAT"):
-        backend.solve()
-
-
-def test_subprocess_backend_rejects_sat_answers_without_a_model(
-    tmp_path, monkeypatch
-):
-    """A solver that exits 10 but prints no model must fail loudly, not
-    fabricate an all-False assignment (an unsupported output convention
-    would otherwise surface as garbage schedules far from the cause)."""
-    script = tmp_path / "modelless-sat"
-    script.write_text("#!/bin/sh\necho 's SATISFIABLE'\nexit 10\n")
-    script.chmod(0o755)
-    monkeypatch.setenv(SOLVER_BINARY_ENV, str(script))
-    backend = create_backend("dimacs-subprocess")
-    v = backend.new_var()
-    backend.add_clause([v])
-    with pytest.raises(RuntimeError, match="no parseable model literals"):
-        backend.solve()

@@ -3,7 +3,8 @@
 Two harnesses cover the binding:
 
 * ``toy_ipasir.c`` — a tiny C IPASIR implementation compiled on the fly
-  (skipped when no C compiler is present), driving the *real* ctypes
+  by the ``toy_library`` fixture of ``tests/conftest.py`` (skipped when no
+  C compiler is present), driving the *real* ctypes
   marshalling path: prototypes, int32 literals, handle lifetime, the
   optional ``ccadical_conflicts`` stats getter.
 * A pure-Python fake library object — exercising the prototype-guard
@@ -16,9 +17,6 @@ assumption-guarded probes — the property the backend exists for.
 """
 
 import random
-import shutil
-import subprocess
-from pathlib import Path
 
 import pytest
 
@@ -33,31 +31,6 @@ from repro.sat.ipasir import (
     ipasir_signature,
     load_ipasir_library,
 )
-
-
-@pytest.fixture(scope="session")
-def toy_library(tmp_path_factory):
-    """Compile tests/sat/toy_ipasir.c into a shared library, or skip."""
-    compiler = shutil.which("cc") or shutil.which("gcc")
-    if compiler is None:
-        pytest.skip("no C compiler available to build the toy IPASIR library")
-    source = Path(__file__).with_name("toy_ipasir.c")
-    out = tmp_path_factory.mktemp("ipasir") / "libtoyipasir.so"
-    build = subprocess.run(
-        [compiler, "-shared", "-fPIC", "-O1", str(source), "-o", str(out)],
-        capture_output=True,
-        text=True,
-    )
-    if build.returncode != 0:
-        pytest.skip(f"toy IPASIR library failed to build: {build.stderr[:200]}")
-    return out
-
-
-@pytest.fixture
-def toy_env(monkeypatch, toy_library):
-    """Point $REPRO_IPASIR_LIB at the freshly built toy library."""
-    monkeypatch.setenv(IPASIR_LIB_ENV, str(toy_library))
-    return toy_library
 
 
 def _random_cnf(rng: random.Random) -> CNF:
@@ -106,7 +79,6 @@ def test_toy_library_loads_with_signature(toy_env):
     backend = create_backend("ipasir")
     assert isinstance(backend, IpasirBackend)
     assert backend.signature == "toy-dpll-1.0"
-    assert backend.supports_assumptions
 
 
 def test_backend_solves_sat_and_unsat_natively(toy_env):
@@ -130,6 +102,14 @@ def test_assumptions_hold_for_one_solve_only(toy_env):
     assert backend.solve() is SolveResult.SAT
     assert backend.solve(assumptions=[-a]) is SolveResult.SAT
     assert backend.model()[b] is True
+
+
+def test_model_before_any_solve_raises(toy_env):
+    backend = create_backend("ipasir")
+    v = backend.new_var()
+    backend.add_clause([v])
+    with pytest.raises(RuntimeError, match="call solve"):
+        backend.model()
 
 
 def test_empty_clause_short_circuits_without_a_native_call(toy_env):

@@ -537,12 +537,12 @@ def test_bad_solver_fields_get_400_before_queueing(solver_fields):
     _run(scenario, jobs=1)
 
 
-@pytest.mark.parametrize("backend", ["dimacs-subprocess", "chaos:dimacs-subprocess"])
+@pytest.mark.parametrize("backend", ["ipasir", "chaos:ipasir"])
 def test_unavailable_backends_get_400_before_queueing(backend, monkeypatch):
-    """A registered backend this host cannot run (here: the solver binary
+    """A registered backend this host cannot run (here: the IPASIR library
     points nowhere) is refused at admission like an unknown one, instead of
     taking a queue slot and ending ``backend-error``."""
-    monkeypatch.setenv("REPRO_SAT_BINARY", "/nonexistent")
+    monkeypatch.setenv("REPRO_IPASIR_LIB", "/nonexistent")
 
     async def scenario(running):
         status, body = await stream_schedule(
@@ -552,6 +552,21 @@ def test_unavailable_backends_get_400_before_queueing(backend, monkeypatch):
         assert "unavailable" in body[0]["error"]
         _status, stats = await get_json(running.host, running.port, "/v1/stats")
         assert stats["counters"]["invalid_requests"] == 1
+        assert stats["counters"]["requests_total"] == 0
+
+    _run(scenario, jobs=1)
+
+
+def test_the_deleted_backend_gets_400_before_queueing(deleted_backend):
+    async def scenario(running):
+        status, body = await stream_schedule(
+            running.host,
+            running.port,
+            _doc("single-gate", sat_backend=deleted_backend),
+        )
+        assert status == 400
+        assert "unknown SAT backend" in body[0]["error"]
+        _status, stats = await get_json(running.host, running.port, "/v1/stats")
         assert stats["counters"]["requests_total"] == 0
 
     _run(scenario, jobs=1)

@@ -226,7 +226,7 @@ def test_commands_write_one_document_shape_only(command):
     assert not [option for option in options if "version" in option]
 
 
-def _strategy_option(command):
+def _option(command, flag):
     [subcommands] = [
         action
         for action in build_parser()._actions
@@ -235,7 +235,7 @@ def _strategy_option(command):
     [option] = [
         action
         for action in subcommands.choices[command]._actions
-        if "--strategy" in action.option_strings
+        if flag in action.option_strings
     ]
     return option
 
@@ -246,7 +246,7 @@ def test_strategy_choices_are_the_ones_the_service_admits(command):
     every request sent under it would fail."""
     from repro.service.server import check_solver_fields
 
-    choices = _strategy_option(command).choices
+    choices = _option(command, "--strategy").choices
     assert choices
     for strategy in choices:
         check_solver_fields({"strategy": strategy}, default_strategy="linear")
@@ -270,7 +270,7 @@ def test_every_entry_point_defaults_to_the_one_default_strategy():
     signature = inspect.signature(run_loadtest)
     assert signature.parameters["strategy"].default == DEFAULT_STRATEGY
     for command in ("serve", "loadtest"):
-        assert _strategy_option(command).default == DEFAULT_STRATEGY
+        assert _option(command, "--strategy").default == DEFAULT_STRATEGY
 
 
 def test_loadtest_rejects_a_strategy_the_service_does_not_know(capsys):
@@ -347,3 +347,71 @@ def test_serve_command_parses_arguments():
     assert args.queue_limit == 5
     assert args.strategy == "linear"
     assert args.hard_timeout == 10.0
+
+
+@pytest.mark.parametrize("command", ["schedule", "bench"])
+def test_sat_backend_option_lists_every_registered_backend(command):
+    from repro.sat.backend import available_backends
+
+    option = _option(command, "--sat-backend")
+    assert option.default is None
+    for name in available_backends():
+        assert name in option.help
+
+
+def test_bench_refuses_an_unavailable_backend_before_any_cell(monkeypatch, tmp_path, capsys):
+    monkeypatch.setenv("REPRO_IPASIR_LIB", "/nonexistent")
+    output = tmp_path / "bench.json"
+    exit_code = main(
+        ["bench", "--suite", "smt", "--sat-backend", "ipasir", "--output", str(output)]
+    )
+    captured = capsys.readouterr()
+    assert exit_code == 2
+    assert "unavailable" in captured.err
+    assert captured.out == ""
+    assert not output.exists()
+
+
+def test_bench_refuses_the_deleted_backend(deleted_backend, capsys):
+    exit_code = main(["bench", "--suite", "smt", "--sat-backend", deleted_backend])
+    captured = capsys.readouterr()
+    assert exit_code == 2
+    assert "unknown SAT backend" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    ("jobs", "message"),
+    [("0", "must be at least 1"), ("-1", "must be at least 1"), ("two", "not an integer")],
+)
+def test_serve_rejects_fewer_than_one_worker_when_parsing(jobs, message, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["serve", "--jobs", jobs])
+    assert excinfo.value.code == 2
+    assert f"--jobs: {message}" in capsys.readouterr().err
+
+
+def test_serve_reports_a_busy_port_as_one_error_line(capsys):
+    import socket
+
+    with socket.socket() as busy:
+        busy.bind(("127.0.0.1", 0))
+        busy.listen()
+        port = busy.getsockname()[1]
+        exit_code = main(["serve", "--port", str(port), "--jobs", "1"])
+    captured = capsys.readouterr()
+    assert exit_code == 1
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith("error: ")
+
+
+@pytest.mark.parametrize("flag", ["--cache", "--ledger"])
+def test_serve_reports_an_unopenable_store_as_one_error_line(flag, tmp_path, capsys):
+    missing = tmp_path / "no-such-directory" / "store.jsonl"
+    exit_code = main(["serve", "--port", "0", "--jobs", "1", flag, str(missing)])
+    captured = capsys.readouterr()
+    assert exit_code == 1
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith("error: ") and "no-such-directory" in line
