@@ -124,6 +124,25 @@ def test_transient_faults_leave_the_inner_clause_db_intact():
     assert backend.statistics()["chaos_transient_faults"] == 2
 
 
+def test_transient_faults_leave_a_native_clause_db_intact(toy_env):
+    """The same contract over the external seam: ``chaos:ipasir`` keeps the
+    clauses already handed to the native library across injected faults."""
+    plan = FaultPlan(seed=1, transient_rate=1.0, max_consecutive_transients=2)
+    backend = ChaosBackend(inner="ipasir", plan=plan)
+    assert backend.statistics()["ipasir_solves"] == 0
+    for clause in [[1, 2], [-1], [-2]]:
+        while backend.num_vars < 2:
+            backend.new_var()
+        backend.add_clause(clause)
+    for _ in range(plan.max_consecutive_transients):
+        with pytest.raises(TransientBackendError):
+            backend.solve()
+    assert backend.solve() is SolveResult.UNSAT
+    stats = backend.statistics()
+    assert stats["chaos_transient_faults"] == 2
+    assert stats["ipasir_solves"] == 1
+
+
 def test_fault_sequence_is_deterministic_per_seed():
     def fault_pattern(seed):
         plan = FaultPlan(seed=seed, transient_rate=0.5, max_consecutive_transients=99)

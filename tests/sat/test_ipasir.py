@@ -17,6 +17,7 @@ assumption-guarded probes — the property the backend exists for.
 """
 
 import random
+import time
 
 import pytest
 
@@ -166,6 +167,82 @@ def test_toy_backend_agrees_with_flat_core_and_oracle(toy_env, seed):
     )
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_toy_backend_tracks_the_flat_core_across_incremental_solves(toy_env, seed):
+    """The surface a horizon search drives: clauses arrive in batches
+    between solves, each solve under fresh assumptions.  After every batch
+    the native backend and the flat core must agree, and every model must
+    honour the clauses so far and that solve's assumptions."""
+    rng = random.Random(22000 + seed)
+    cnf = _random_cnf(rng)
+    backend = create_backend("ipasir")
+    flat = CDCLSolver()
+    for solver in (backend, flat):
+        while solver.num_vars < cnf.num_vars:
+            solver.new_var()
+    so_far = CNF(num_vars=cnf.num_vars)
+    cut = [0, len(cnf.clauses) // 3, 2 * len(cnf.clauses) // 3, len(cnf.clauses)]
+    for start, stop in zip(cut, cut[1:]):
+        for clause in cnf.clauses[start:stop]:
+            so_far.add_clause(clause)
+            backend.add_clause(clause)
+            flat.add_clause(clause)
+        assumptions = [
+            v if rng.random() < 0.5 else -v
+            for v in rng.sample(range(1, cnf.num_vars + 1), 2)
+        ]
+        result = backend.solve(assumptions=assumptions)
+        assert result is flat.solve(assumptions=assumptions)
+        if result is SolveResult.SAT:
+            model = backend.model()
+            assert so_far.evaluate(model)
+            for lit in assumptions:
+                assert model[abs(lit)] is (lit > 0)
+    assert backend.statistics()["ipasir_solves"] == 3
+
+
+def _unsat_heavy_cnf(rng: random.Random) -> CNF:
+    """Dense random 3-CNF (~5.2 clauses per variable): mostly UNSAT."""
+    n_vars = rng.randint(5, 9)
+    cnf = CNF(num_vars=n_vars)
+    for _ in range(int(5.2 * n_vars)):
+        chosen = rng.sample(range(1, n_vars + 1), 3)
+        cnf.add_clause([v if rng.random() < 0.5 else -v for v in chosen])
+    return cnf
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_toy_backend_agrees_on_unsat_heavy_formulas(toy_env, seed):
+    """Refutations through the native path: on mostly-UNSAT formulas the
+    toy library's verdict matches the brute-force oracle, with and without
+    assumptions."""
+    rng = random.Random(23000 + seed)
+    cnf = _unsat_heavy_cnf(rng)
+    backend = create_backend("ipasir")
+    backend.add_cnf(cnf)
+    result = backend.solve()
+    assert (result is SolveResult.SAT) == brute_force_satisfiable(cnf)
+    if result is SolveResult.SAT:
+        assert cnf.evaluate(backend.model())
+    lit = rng.choice([1, -1]) * rng.randint(1, cnf.num_vars)
+    restricted = CNF([*cnf.clauses, [lit]], num_vars=cnf.num_vars)
+    expected = brute_force_satisfiable(restricted)
+    assert (backend.solve(assumptions=[lit]) is SolveResult.SAT) == expected
+
+
+@pytest.mark.parametrize("pigeons, holes", [(2, 1), (3, 2), (4, 3), (3, 3), (4, 4)])
+def test_toy_backend_agrees_on_pigeonhole_formulas(toy_env, pigeons, holes):
+    from test_sat_solver import php_cnf
+
+    cnf = php_cnf(pigeons, holes)
+    backend = create_backend("ipasir")
+    backend.add_cnf(cnf)
+    result = backend.solve()
+    assert (result is SolveResult.UNSAT) == (pigeons > holes)
+    if result is SolveResult.SAT:
+        assert cnf.evaluate(backend.model())
+
+
 def test_backend_accepts_a_library_path_directly(toy_library):
     backend = IpasirBackend(library=str(toy_library))
     v = backend.new_var()
@@ -247,6 +324,72 @@ def test_fake_python_library_drives_the_backend():
     assert backend.model()[b] is True
     assert backend.solve(assumptions=[-b]) is SolveResult.UNSAT
     assert backend.solve() is SolveResult.SAT
+
+
+class _CodedIpasirLib(_FakeIpasirLib):
+    """Fake library whose ``ipasir_solve`` returns a scripted code."""
+
+    def __init__(self, code):
+        super().__init__()
+        self.code = code
+
+    def ipasir_solve(self, handle):
+        return self.code
+
+
+@pytest.mark.parametrize("code", [1, 30, -20])
+def test_unexpected_solve_codes_raise_naming_the_library(code):
+    """Only 10, 20 and 0 are IPASIR answers; anything else is a broken
+    library and must not be read as a verdict."""
+    backend = IpasirBackend(library=_CodedIpasirLib(code))
+    backend.add_clause([backend.new_var()])
+    with pytest.raises(RuntimeError, match=rf"code {code} .*pyfake-1\.0"):
+        backend.solve()
+    assert backend.statistics()["ipasir_solves"] == 1
+
+
+def test_solve_code_zero_reads_as_unknown_without_a_model():
+    backend = IpasirBackend(library=_CodedIpasirLib(0))
+    backend.add_clause([backend.new_var()])
+    assert backend.solve() is SolveResult.UNKNOWN
+    with pytest.raises(RuntimeError, match="call solve"):
+        backend.model()
+
+
+class _PollingIpasirLib(_FakeIpasirLib):
+    """Fake library that honours ``ipasir_set_terminate`` the way a real
+    solver does: it polls the callback and gives up (code 0) once it fires."""
+
+    def __init__(self):
+        super().__init__()
+        self.terminate = None
+        self.polls = 0
+
+    def ipasir_set_terminate(self, handle, state, callback):
+        self.terminate = callback if callback else None
+
+    def ipasir_solve(self, handle):
+        if self.terminate is not None:
+            time.sleep(0.002)
+            self.polls += 1
+            if self.terminate(None):
+                self._handles[handle]["assumptions"] = []
+                return 0
+        return super().ipasir_solve(handle)
+
+
+def test_time_limit_arms_the_terminate_callback_for_one_solve():
+    lib = _PollingIpasirLib()
+    backend = IpasirBackend(library=lib)
+    backend.add_clause([backend.new_var()])
+    assert backend.solve(time_limit=1e-6) is SolveResult.UNKNOWN
+    assert lib.polls == 1
+    # Disarmed after the call: the next solve runs to completion unpolled.
+    assert lib.terminate is None
+    assert backend.solve() is SolveResult.SAT
+    assert lib.polls == 1
+    assert backend.solve(time_limit=60.0) is SolveResult.SAT
+    assert lib.polls == 2
 
 
 def test_object_without_the_surface_is_rejected():
