@@ -33,10 +33,6 @@ class Position:
         """True when the position is the SLM trap at the site centre."""
         return self.h == 0 and self.v == 0
 
-    def same_site(self, other: "Position") -> bool:
-        """True when both positions belong to the same interaction site."""
-        return self.x == other.x and self.y == other.y
-
 
 @dataclass(frozen=True)
 class ZonedArchitecture:

@@ -220,13 +220,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--output", default=None, help="persist the results as JSON to this path"
     )
     bench.add_argument(
-        "--dedupe",
-        action="store_true",
-        help="drop SMT cells whose problem is isomorphic to an earlier "
-        "cell under the same strategy/backend/budget (canonical-hash "
-        "dedup; the kept cell's certificate covers the dropped ones)",
-    )
-    bench.add_argument(
         "--shard",
         default=None,
         metavar="I/N",
@@ -672,19 +665,6 @@ def main(argv: Sequence[str] | None = None) -> int:
                 )
                 return 2
             instances = shard_suite(instances, index, count)
-        if args.dedupe:
-            from repro.evaluation.runner import dedupe_instances
-
-            instances, dropped = dedupe_instances(instances)
-            if dropped:
-                print(
-                    f"dedupe: dropped {len(dropped)} isomorphic cell(s): "
-                    + ", ".join(
-                        f"{name} (duplicate of {kept_name})"
-                        for name, kept_name in sorted(dropped.items())
-                    ),
-                    file=sys.stderr,
-                )
         if args.resume is not None and args.journal is not None:
             if args.resume != args.journal:
                 print(
@@ -789,8 +769,8 @@ def main(argv: Sequence[str] | None = None) -> int:
                 backends=tuple(args.backends) if args.backends else None
             )
         except (ValueError, RuntimeError) as exc:
-            # E.g. a backend compared with itself, or one whose solver
-            # binary is missing.
+            # E.g. a backend compared with itself, or the ipasir backend
+            # without a loadable library.
             print(f"error: {exc}", file=sys.stderr)
             return 1
         print(format_microbench(document))

@@ -13,8 +13,7 @@ which all isomorphic problems become literally equal — and a **canonical
 key**, the SHA-256 of that normal form's JSON serialisation.  The key is
 deliberately independent of Python's randomised ``hash()`` so it is stable
 across processes, machines and runs: the service's certified-result cache
-(:mod:`repro.service.cache`) persists it to disk, and the bench runner uses
-it to deduplicate isomorphic cells.
+(:mod:`repro.service.cache`) persists it to disk.
 
 The relabeling is exact graph canonicalisation, not a heuristic invariant:
 individualisation-refinement on the gate multigraph.  Colour refinement

@@ -110,11 +110,6 @@ class SMTScheduler:
         """Registry name of the SAT backend deciding every probe."""
         return self._backend_name
 
-    @property
-    def deadline_seconds(self) -> Optional[float]:
-        """The configured whole-search budget (``None`` when unbounded)."""
-        return self._deadline_seconds
-
     def schedule(
         self,
         problem: SchedulingProblem,

@@ -276,9 +276,6 @@ class WorkerPool:
     def busy_count(self) -> int:
         return sum(1 for worker in self._workers if worker.task is not None)
 
-    def backlog_size(self) -> int:
-        return len(self._backlog)
-
     def wait_handles(self) -> list:
         """Connections and process sentinels of the busy workers.
 

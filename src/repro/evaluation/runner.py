@@ -328,45 +328,6 @@ def shard_info(
     }
 
 
-def dedupe_instances(
-    instances: Sequence[BenchInstance],
-) -> tuple[list[BenchInstance], dict[str, str]]:
-    """Drop SMT cells that are isomorphic duplicates of an earlier cell.
-
-    Two cells are duplicates when their scheduling problems share a
-    canonical key (:func:`repro.core.canonical.canonical_key` — invariant
-    under qubit relabeling and gate reordering) *and* their solver
-    configuration (strategy, backend, time limit) is
-    identical: solving both can only reproduce the same certified answer.
-    Returns ``(kept, dropped)`` where *dropped* maps each dropped cell
-    name to the kept cell it duplicates.  Non-SMT cells are never dropped
-    (their specs name circuits, not gate lists, and are already unique).
-    """
-    from repro.core.canonical import canonical_key
-    from repro.core.problem import problem_from_document
-
-    kept: list[BenchInstance] = []
-    dropped: dict[str, str] = {}
-    seen: dict[tuple, str] = {}
-    for instance in instances:
-        spec = instance.spec
-        if spec.get("kind") != "smt":
-            kept.append(instance)
-            continue
-        key = (
-            canonical_key(problem_from_document(spec["problem"])),
-            spec["strategy"],
-            spec.get("sat_backend"),
-            spec.get("time_limit"),
-        )
-        if key in seen:
-            dropped[instance.name] = seen[key]
-        else:
-            seen[key] = instance.name
-            kept.append(instance)
-    return kept, dropped
-
-
 # --------------------------------------------------------------------------- #
 # Workers (module-level so they pickle for the worker pool)
 # --------------------------------------------------------------------------- #

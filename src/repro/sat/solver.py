@@ -869,8 +869,7 @@ class CDCLSolver:
     def dump_dimacs(self, include_learned: bool = False) -> str:
         """Serialise the clause database to DIMACS CNF text.
 
-        A debugging aid and the ground work for piping the instance to an
-        external solver binary: ``CNF.from_dimacs(solver.dump_dimacs())``
+        A debugging aid: ``CNF.from_dimacs(solver.dump_dimacs())``
         round-trips to an equisatisfiable formula.
         """
         return self.to_cnf(include_learned=include_learned).to_dimacs()

@@ -3,12 +3,15 @@
 The paper's scheduler is a batch library; this package wraps it into a
 service shaped for real traffic:
 
-* :mod:`repro.service.server` — an asyncio HTTP/JSON server (stdlib only)
-  with a bounded request queue feeding the persistent warm worker pool of
-  :mod:`repro.evaluation.executor`, streaming **anytime** responses as
-  chunked JSON lines: a validated structured witness immediately, the
-  certified optimum when it lands, every event stamped with its
-  ``termination`` verdict and bound provenance.
+* :mod:`repro.service.server` — the scheduling service: admission, a
+  bounded request queue feeding the persistent warm worker pool of
+  :mod:`repro.evaluation.executor`, and **anytime** responses as JSON
+  lines: a validated structured witness immediately, the certified
+  optimum when it lands, every event stamped with its ``termination``
+  verdict and bound provenance.
+* :mod:`repro.service.http` — the HTTP/1.1 dialect both ends speak
+  (stdlib only): request parsing, response framing, keep-alive and the
+  server's connection loop.
 * :mod:`repro.service.cache` — the certified-result memo store keyed by
   the canonical problem hash of :mod:`repro.core.canonical`, so
   isomorphic re-submissions are answered without a single solver probe.
@@ -25,7 +28,6 @@ from repro.service.cache import CertifiedResultCache
 from repro.service.ledger import RequestLedger, load_ledger
 from repro.service.server import (
     SchedulingService,
-    ServiceServer,
     problem_from_document,
     run_service,
     start_service,
@@ -43,7 +45,6 @@ __all__ = [
     "RequestLedger",
     "format_loadtest",
     "SchedulingService",
-    "ServiceServer",
     "get_json",
     "load_ledger",
     "loadtest_result",

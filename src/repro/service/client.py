@@ -1,10 +1,10 @@
 """Minimal asyncio HTTP client for the service (stdlib only).
 
-Speaks exactly the dialect :mod:`repro.service.server` emits — HTTP/1.1
-persistent connections, chunked ``application/x-ndjson`` streams for
-``/v1/schedule`` and ``Content-Length`` JSON bodies elsewhere.  Used by
-the service tests and the load-test harness; it is *not* a general HTTP
-client.
+Speaks exactly the dialect of :mod:`repro.service.http`, whose readers
+parse every response — HTTP/1.1 persistent connections, chunked
+``application/x-ndjson`` streams for ``/v1/schedule`` and
+``Content-Length`` JSON bodies elsewhere.  Used by the service tests and
+the load-test harness; it is *not* a general HTTP client.
 
 Connections are reused.  Each request takes an idle connection from a
 pool keyed by (running event loop, host, port), or opens a new one, so a
@@ -26,7 +26,9 @@ from __future__ import annotations
 
 import asyncio
 import json
-from typing import AsyncIterator, Optional
+from typing import Optional
+
+from repro.service import http
 
 _Connection = tuple[asyncio.StreamReader, asyncio.StreamWriter]
 _Key = tuple[asyncio.AbstractEventLoop, str, int]  # (loop, host, port)
@@ -59,48 +61,6 @@ def close_idle_connections(host: str, port: int) -> None:
                 writer.close()
 
 
-async def _read_status_and_headers(
-    reader: asyncio.StreamReader, status_line: bytes
-) -> tuple[int, dict[str, str]]:
-    parts = status_line.decode("latin-1").split(None, 2)
-    if len(parts) < 2 or not parts[1].isdigit():
-        raise ConnectionError(f"malformed status line: {status_line!r}")
-    status = int(parts[1])
-    headers: dict[str, str] = {}
-    while True:
-        line = await reader.readline()
-        if line in (b"\r\n", b"\n", b""):
-            break
-        name, _, value = line.decode("latin-1").partition(":")
-        headers[name.strip().lower()] = value.strip()
-    return status, headers
-
-
-async def _iter_chunks(reader: asyncio.StreamReader) -> AsyncIterator[bytes]:
-    while True:
-        size_line = await reader.readline()
-        size = int(size_line.strip() or b"0", 16)
-        if size == 0:
-            await reader.readline()  # terminating CRLF
-            return
-        data = await reader.readexactly(size)
-        await reader.readexactly(2)  # chunk CRLF
-        yield data
-
-
-async def _read_body(
-    reader: asyncio.StreamReader, headers: dict[str, str]
-) -> tuple[bytes, bool]:
-    """The response body, and whether its end was framed (not EOF)."""
-    if headers.get("transfer-encoding", "").lower() == "chunked":
-        parts = [chunk async for chunk in _iter_chunks(reader)]
-        return b"".join(parts), True
-    if "content-length" in headers:
-        length = int(headers["content-length"])
-        return (await reader.readexactly(length) if length else b""), True
-    return await reader.read(), False
-
-
 async def _exchange(
     key: _Key,
     connection: _Connection,
@@ -122,8 +82,8 @@ async def _exchange(
             if reused:
                 raise _StaleConnection
             raise ConnectionError("server closed the connection before responding")
-        status, headers = await _read_status_and_headers(reader, status_line)
-        payload, framed = await _read_body(reader, headers)
+        status, headers = await http.read_response_head(reader, status_line)
+        payload, framed = await http.read_body(reader, headers)
         if framed and headers.get("connection", "").lower() == "keep-alive":
             _IDLE.setdefault(key, []).append(connection)
             pooled = True

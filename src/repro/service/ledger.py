@@ -27,10 +27,6 @@ class RequestLedger:
         # the run boundary and identify the writer.
         self._journal.write_header([], shard={"kind": "service"})
 
-    @property
-    def path(self) -> str:
-        return self._journal.path
-
     def record_request(self, request_id: str) -> None:
         """Record acceptance of *request_id* (before any work happens)."""
         self._journal.record_start(request_id, attempt=1)

@@ -131,45 +131,39 @@ async def _run_loadtest(
         default_time_limit=60.0,
     )
     wall_start = time.monotonic()
-    latencies: list[Optional[float]] = [None] * requests
-    statuses: list[Optional[int]] = [None] * requests
-    streams: list[list[dict]] = [[] for _ in range(requests)]
     gate = asyncio.Semaphore(concurrency)
 
-    async def one(index: int) -> None:
+    async def one(doc: dict) -> tuple[float, int, list[dict]]:
+        """``(latency, status, events)`` of one request."""
         async with gate:
             start = time.monotonic()
-            status, events = await stream_schedule(
-                running.host, running.port, docs[index]
-            )
-            latencies[index] = time.monotonic() - start
-            statuses[index] = status
-            streams[index] = events
+            status, events = await stream_schedule(running.host, running.port, doc)
+            return time.monotonic() - start, status, events
 
     try:
         outcomes = await asyncio.gather(
-            *(one(index) for index in range(requests)), return_exceptions=True
+            *(one(doc) for doc in docs), return_exceptions=True
         )
         _status, stats = await get_json(running.host, running.port, "/v1/stats")
     finally:
         await running.aclose()
     wall = time.monotonic() - wall_start
 
-    transport_errors = sum(1 for o in outcomes if isinstance(o, BaseException))
-    rejected = sum(1 for s in statuses if s == 503)
+    answered = [o for o in outcomes if not isinstance(o, BaseException)]
+    transport_errors = requests - len(answered)
+    rejected = sum(1 for _latency, status, _events in answered if status == 503)
     ok = 0
     cached_responses = 0
     terminations: dict[str, int] = {}
     completed_latencies: list[float] = []
-    for index in range(requests):
-        if statuses[index] != 200 or latencies[index] is None:
+    for latency, status, events in answered:
+        if status != 200:
             continue
-        events = streams[index]
         result = events[-1] if events else {}
         if result.get("event") != "result":
             continue
         ok += 1
-        completed_latencies.append(latencies[index])
+        completed_latencies.append(latency)
         termination = str(result.get("termination"))
         terminations[termination] = terminations.get(termination, 0) + 1
         if result.get("cached"):
@@ -208,17 +202,14 @@ async def _run_loadtest(
 
 def loadtest_result(payload: dict) -> BenchResult:
     """Wrap a load-test payload as a bench result for ``save_results``."""
+    errors = payload.get("errors", 0)
     return BenchResult(
         name="service/loadtest",
         suite="service",
-        status="ok" if payload.get("errors", 0) == 0 else "error",
+        status="error" if errors else "ok",
         seconds=float(payload.get("seconds_total", 0.0)),
         payload=payload,
-        error=(
-            None
-            if payload.get("errors", 0) == 0
-            else f"{payload['errors']} request(s) failed"
-        ),
+        error=f"{errors} request(s) failed" if errors else None,
     )
 
 

@@ -1,7 +1,12 @@
-"""Scheduling-as-a-service: asyncio HTTP/JSON front end of the scheduler.
+"""Scheduling-as-a-service: the scheduling half of the HTTP/JSON front end.
 
-Stdlib only — the server speaks HTTP/1.1 by hand over
-:func:`asyncio.start_server`; there is deliberately no web framework.
+The wire dialect — request parsing, framing, keep-alive and the
+connection loop — lives in :mod:`repro.service.http`, whose
+:class:`~repro.service.http.HttpServer` hands every parsed request to
+:meth:`SchedulingService.handle` and writes back the JSON response or
+event stream it returns.  This module decides what the answer is:
+routing, admission, the canonical key, the cache, dispatch to the worker
+pool, the events, the counters and the ledger.
 
 Endpoints
 ---------
@@ -9,10 +14,8 @@ Endpoints
 ``POST /v1/schedule``
     Submit a scheduling problem (JSON body, see
     :func:`repro.core.problem.problem_from_document`).  The response is an
-    **anytime stream** of chunked JSON lines (``Transfer-Encoding: chunked``,
-    ``application/x-ndjson``), one event object per line, in order (an
-    HTTP/1.0 client, which cannot read chunks, gets the same lines as a
-    body that ends when the server closes the connection):
+    **anytime stream** of JSON lines (``application/x-ndjson``), one event
+    object per line, in order:
 
     1. ``{"event": "accepted", ...}`` — request id, canonical key, cache
        hit/miss, queue depth;
@@ -33,7 +36,8 @@ Endpoints
     A full request queue is answered with ``503`` before any work starts;
     an invalid document with ``400`` — a malformed problem, but also an
     unknown ``strategy`` or ``sat_backend`` or a malformed ``time_limit`` /
-    ``deadline`` (:func:`check_solver_fields`).
+    ``deadline`` (:func:`check_solver_fields`).  A miss holds its
+    connection until its result event has been sent.
 
 ``GET /v1/healthz``
     Liveness plus per-worker health from the pool's bookkeeping.
@@ -41,27 +45,10 @@ Endpoints
 ``GET /v1/stats``
     Aggregate counters: requests, cache hits/misses/hit-rate, pool stats.
 
-Connections
------------
+Architecture
+------------
 
-Connections persist, as HTTP/1.1 makes the default: one connection
-carries any number of requests in turn, each response delimited by its
-``Content-Length`` or by the chunked terminator and stamped
-``Connection: keep-alive``.  The server closes a connection
-
-* after answering a request that says ``Connection: close``, or an
-  HTTP/1.0 request that does not ask for ``keep-alive``;
-* after the event stream of an HTTP/1.0 ``POST /v1/schedule``;
-* after answering a malformed request whose body it did not read with a
-  ``400``;
-* when the client closes or resets it;
-* when it has waited :data:`IDLE_TIMEOUT_S` seconds for its next request;
-* at shutdown (:meth:`ServiceServer.aclose`).
-
-The responses of the first three cases say ``Connection: close``.  A miss
-holds its connection until its result event has been sent.
-
-Architecture: requests land on the asyncio event loop, which performs
+Requests land on the asyncio event loop, which performs
 validation, canonicalisation and cache lookups inline (cheap, pure
 Python) and is the single owner of the persistent
 :class:`~repro.evaluation.executor.WorkerPool` — there is no dispatcher
@@ -82,9 +69,9 @@ Replacing a worker does block the loop thread, though: after a harness
 timeout or a crash, ``WorkerPool.poll`` runs ``_restart`` inline, which
 joins the old process and forks the replacement.  After a timeout it
 terminates the worker and joins for up to 5 s (then kills it and joins
-up to 5 s more); after a crash it joins for up to 10 s.  A worker that
-exits promptly costs milliseconds; one that does not stalls every
-connection for as long as the join waits.
+up to 5 s more); after a crash it joins for up to 10 s (and 10 s more
+after a kill).  A worker that exits promptly costs milliseconds; one
+that does not stalls every connection for as long as the join waits.
 """
 
 from __future__ import annotations
@@ -98,7 +85,7 @@ import time
 import uuid
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import AsyncIterator, Optional
 
 from repro.core.budget import Deadline
 from repro.core.canonical import canonical_key
@@ -123,25 +110,11 @@ from repro.evaluation.executor import (
 from repro.evaluation.runner import solve_job, warm_worker
 from repro.service.cache import CertifiedResultCache
 from repro.service.client import close_idle_connections
+from repro.service.http import EventStream, HttpServer, JsonResponse, Request
 from repro.service.ledger import RequestLedger
 
 #: ``termination`` stamp of events emitted while the solve is in flight.
 TERMINATION_PENDING = "pending"
-
-#: Seconds a connection may wait for its next request before the server
-#: closes it.
-IDLE_TIMEOUT_S = 30.0
-
-_MAX_HEADER_BYTES = 64 * 1024
-_MAX_BODY_BYTES = 8 * 1024 * 1024
-_REASONS = {
-    200: "OK",
-    400: "Bad Request",
-    404: "Not Found",
-    405: "Method Not Allowed",
-    413: "Payload Too Large",
-    503: "Service Unavailable",
-}
 
 #: Payload keys of a certified solve that are cached and replayed verbatim
 #: to isomorphic re-submissions.  ``num_horizons``/``solver_seconds`` are
@@ -263,14 +236,11 @@ class SchedulingService:
     workers, is woken by the busy workers' readiness (or the
     harness-timeout timer) and routes each outcome back to its request.
     ``queue_limit`` bounds *waiting* requests — when every worker is busy
-    and the queue is full, :meth:`try_submit` refuses and the server
+    and the queue is full, :meth:`try_submit` refuses and :meth:`handle`
     answers 503 instead of accumulating unbounded work it cannot finish.
-    Replacing a crashed or overrunning worker (terminate, join, fork) also
-    runs on the loop and stalls it, cache hits included: for as long as the
-    old process takes to exit, which the pool waits for up to 5 s after
-    ``terminate`` and 5 s more after ``kill`` when a request overran its
-    hard timeout, and up to 10 s (then 10 s more after ``kill``) when a
-    worker crashed.  Every method must be called from that loop's thread.
+    Replacing a crashed or overrunning worker also runs on the loop and
+    stalls it, cache hits included (module docstring, *Architecture*).
+    Every method must be called from that loop's thread.
 
     *default_strategy* runs every request that names no strategy; an
     unknown name raises ``ValueError`` here rather than turning every such
@@ -329,8 +299,8 @@ class SchedulingService:
     def stop(self) -> None:
         """Fail every waiting and in-flight job, then stop the pool.
 
-        The ledger and the cache stay open: the handler of a job failed
-        here still records its verdict.  :meth:`close` closes them.
+        The ledger and the cache stay open: the event stream of a job
+        failed here still records its verdict.  :meth:`close` closes them.
         """
         if self._closed:
             return
@@ -346,8 +316,8 @@ class SchedulingService:
     def close(self) -> None:
         """:meth:`stop`, then close the ledger and the cache.
 
-        Behind a server, call it only once the server's handlers have
-        finished (:meth:`RunningService.aclose`).
+        Behind a server, call it only once the server's connections have
+        closed (:meth:`RunningService.aclose`).
         """
         self.stop()
         if self.ledger is not None:
@@ -388,19 +358,12 @@ class SchedulingService:
         self._loop.call_soon(self._pump)
         return job
 
-    def queue_depth(self) -> int:
-        return len(self._waiting)
-
     def health(self) -> dict:
-        pool_stats = self._pool.stats()
         workers = self._pool.health()
         return {
             "status": "ok" if any(w["alive"] for w in workers) else "degraded",
             "workers": workers,
-            "pool": pool_stats,
-            "queue": {"depth": len(self._waiting), "limit": self.queue_limit},
-            "cache": self.cache.stats(),
-            "counters": dict(self.counters),
+            **self.stats(),
         }
 
     def stats(self) -> dict:
@@ -410,6 +373,195 @@ class SchedulingService:
             "pool": self._pool.stats(),
             "queue": {"depth": len(self._waiting), "limit": self.queue_limit},
         }
+
+    # ------------------------------------------------------------------ #
+    # Endpoints
+    # ------------------------------------------------------------------ #
+    def handle(self, request: Request) -> JsonResponse | EventStream:
+        """Answer one request (the :data:`~repro.service.http.Handler`)."""
+        if request.target == "/v1/schedule":
+            if request.method != "POST":
+                return JsonResponse(405, {"error": "POST required"})
+            return self._schedule(request.body)
+        if request.target == "/v1/healthz":
+            return JsonResponse(200, self.health())
+        if request.target == "/v1/stats":
+            return JsonResponse(200, self.stats())
+        return JsonResponse(404, {"error": f"no route {request.target}"})
+
+    def connection_opened(self) -> None:
+        self.counters["connections_accepted"] += 1
+
+    def _schedule(self, body: bytes) -> JsonResponse | EventStream:
+        """Answer ``POST /v1/schedule``: admission, then the cache or a worker."""
+        try:
+            doc = json.loads(body.decode("utf-8"))
+            if not isinstance(doc, dict):
+                raise ValueError("request body must be a JSON object")
+            if doc.get("selftest") and not self.allow_selftest:
+                raise ValueError("selftest ops are disabled on this server")
+            check_solver_fields(doc, self.default_strategy)
+            problem = problem_from_document(doc)
+        except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+            self.counters["invalid_requests"] += 1
+            return JsonResponse(400, {"error": f"{type(exc).__name__}: {exc}"})
+
+        request_id = self.next_request_id()
+        self.counters["requests_total"] += 1
+        received = time.monotonic()
+        key = canonical_key(problem)
+
+        cached_entry = self.cache.get(key)
+        if cached_entry is not None:
+            self.counters["cache_hits"] += 1
+            return EventStream(self._hit_events(request_id, key, cached_entry, received))
+        self.counters["cache_misses"] += 1
+
+        spec = {
+            "problem": {
+                "num_qubits": doc["num_qubits"],
+                "gates": [list(gate) for gate in doc["gates"]],
+                "layout": doc.get("layout", "bottom"),
+                "shielding": doc.get("shielding"),
+            },
+            "strategy": doc.get("strategy"),
+            "sat_backend": doc.get("sat_backend"),
+            "time_limit": doc.get("time_limit", self.default_time_limit),
+            "chaos_spec": doc.get("chaos_spec"),
+        }
+        if self.allow_selftest and doc.get("selftest"):
+            spec["selftest"] = doc["selftest"]
+        deadline = doc.get("deadline")
+        if deadline is not None:
+            # The budget starts ticking NOW: queueing time counts against
+            # the request, because the service promises end-to-end latency.
+            spec["deadline"] = Deadline.after(float(deadline))
+
+        job = self.try_submit(request_id, spec)
+        if job is None:
+            self.counters["rejected_queue_full"] += 1
+            return JsonResponse(
+                503,
+                {
+                    "error": "request queue is full",
+                    "queue_limit": self.queue_limit,
+                    "request_id": request_id,
+                },
+            )
+
+        accepted = self._accepted(request_id, key, "miss", TERMINATION_PENDING)
+        return EventStream(self._miss_events(job, problem, accepted, received))
+
+    def _accepted(
+        self, request_id: str, key: str, cache: str, termination: str
+    ) -> dict:
+        """Record *request_id* in the ledger; its ``accepted`` event."""
+        if self.ledger is not None:
+            self.ledger.record_request(request_id)
+        return {
+            "event": "accepted",
+            "request_id": request_id,
+            "canonical_key": key,
+            "cache": cache,
+            "queue_depth": len(self._waiting),
+            "termination": termination,
+        }
+
+    def _hit_events(
+        self, request_id: str, key: str, entry: dict, received: float
+    ) -> list[dict]:
+        """A hit's whole stream, sent in one write and one drain."""
+        termination = entry.get("termination", TERMINATION_CERTIFIED)
+        accepted = self._accepted(request_id, key, "hit", termination)
+        result = {
+            "event": "result",
+            "request_id": request_id,
+            "canonical_key": key,
+            "cached": True,
+            "solver_probes": 0,
+            **entry,
+        }
+        self.counters["results_ok"] += 1
+        self._finish_ledger(request_id, key, result, received)
+        return [accepted, result]
+
+    async def _miss_events(
+        self, job: _ServiceJob, problem, accepted: dict, received: float
+    ) -> AsyncIterator[dict]:
+        """A miss's stream: accepted, witness, then the worker's result."""
+        request_id, key = job.request_id, accepted["canonical_key"]
+        yield accepted
+        # The structured witness streams while the exact solve runs: the
+        # client holds a validated schedule (an upper-bound certificate)
+        # strictly before the certified optimum lands.
+        loop = asyncio.get_running_loop()
+        yield await loop.run_in_executor(None, _witness_event, problem, request_id)
+        outcome = await job.outcomes.get()
+        result = self._result_event(outcome, request_id, key)
+        if (
+            outcome.status == TASK_OK
+            and result.get("termination") == TERMINATION_CERTIFIED
+            and result.get("optimal")
+            and result.get("found")
+        ):
+            self.cache.put(key, {k: result[k] for k in _CACHEABLE_KEYS if k in result})
+        yield result
+        self._finish_ledger(request_id, key, result, received)
+
+    def _result_event(self, outcome: TaskOutcome, request_id: str, key: str) -> dict:
+        base = {
+            "event": "result",
+            "request_id": request_id,
+            "canonical_key": key,
+            "cached": False,
+            "worker_seconds": outcome.seconds,
+        }
+        if outcome.status == TASK_OK:
+            payload = dict(outcome.value)
+            self.counters[
+                "results_ok"
+                if payload.get("termination") == TERMINATION_CERTIFIED
+                else "results_degraded"
+            ] += 1
+            return {
+                **base,
+                "solver_probes": payload.get("num_horizons", 0),
+                **payload,
+            }
+        if outcome.status == TASK_CRASHED:
+            # The worker died mid-solve (the pool has already replaced
+            # it); to the client this is a backend error on this request,
+            # not a service outage.
+            self.counters["worker_crashes"] += 1
+        self.counters["results_degraded"] += 1
+        if outcome.status == TASK_TIMEOUT:
+            termination = TERMINATION_DEADLINE
+        else:
+            termination = TERMINATION_BACKEND_ERROR
+        return {
+            **base,
+            "solver_probes": 0,
+            "found": False,
+            "optimal": False,
+            "termination": termination,
+            "error": outcome.error,
+        }
+
+    def _finish_ledger(
+        self, request_id: str, key: str, result: dict, received: float
+    ) -> None:
+        if self.ledger is None:
+            return
+        self.ledger.record_verdict(
+            request_id,
+            {
+                "canonical_key": key,
+                "cached": bool(result.get("cached")),
+                "termination": result.get("termination"),
+                "status": "ok" if result.get("found") else "degraded",
+                "seconds": time.monotonic() - received,
+            },
+        )
 
     # ------------------------------------------------------------------ #
     # Dispatch (event-loop callbacks)
@@ -471,452 +623,6 @@ def _fail_shutting_down(job: _ServiceJob) -> None:
     )
 
 
-# --------------------------------------------------------------------------- #
-# HTTP layer
-# --------------------------------------------------------------------------- #
-class _BadRequest(Exception):
-    pass
-
-
-async def _read_request(
-    reader: asyncio.StreamReader,
-) -> Optional[tuple[str, str, bool, bool, bytes]]:
-    """Read one request: ``(method, target, chunked, keep_alive, body)``.
-
-    None when the client closed the connection before a request line.
-    ``chunked`` says whether the client can read a chunked response, which
-    only HTTP/1.1 defines.  ``keep_alive`` is HTTP/1.1's default unless
-    the request says ``Connection: close``; HTTP/1.0 must ask for
-    ``keep-alive``.
-    """
-    request_line = await reader.readline()
-    if not request_line:
-        return None
-    parts = request_line.decode("latin-1").split()
-    if len(parts) != 3:
-        raise _BadRequest("malformed request line")
-    method, target, version = parts
-    headers: dict[str, str] = {}
-    total = 0
-    while True:
-        line = await reader.readline()
-        if line in (b"\r\n", b"\n", b""):
-            break
-        total += len(line)
-        if total > _MAX_HEADER_BYTES:
-            raise _BadRequest("header section too large")
-        name, _, value = line.decode("latin-1").partition(":")
-        headers[name.strip().lower()] = value.strip()
-    if "transfer-encoding" in headers:
-        # Only Content-Length frames a request body; anything else would
-        # leave the rest of the body to be read as the next request.
-        raise _BadRequest("request bodies must carry Content-Length")
-    length = int(headers.get("content-length", "0") or "0")
-    if length > _MAX_BODY_BYTES:
-        raise _BadRequest("request body too large")
-    body = await reader.readexactly(length) if length else b""
-    tokens = {t.strip().lower() for t in headers.get("connection", "").split(",")}
-    chunked = version == "HTTP/1.1"
-    if chunked:
-        keep_alive = "close" not in tokens
-    else:
-        keep_alive = "keep-alive" in tokens
-    return method, target, chunked, keep_alive, body
-
-
-def _connection_header(keep_alive: bool) -> str:
-    return f"Connection: {'keep-alive' if keep_alive else 'close'}\r\n"
-
-
-async def _send_json(
-    writer: asyncio.StreamWriter, status: int, obj: dict, keep_alive: bool
-) -> None:
-    body = (json.dumps(obj, sort_keys=True) + "\n").encode("utf-8")
-    head = (
-        f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}\r\n"
-        "Content-Type: application/json\r\n"
-        f"Content-Length: {len(body)}\r\n"
-        f"{_connection_header(keep_alive)}"
-        "\r\n"
-    ).encode("latin-1")
-    writer.write(head + body)
-    await writer.drain()
-
-
-def _stream_head(chunked: bool, keep_alive: bool) -> bytes:
-    """Status line and headers of an ndjson event stream.
-
-    Without chunking (an HTTP/1.0 client) the body ends when the
-    connection closes, so the stream always says ``Connection: close``.
-    """
-    framing = "Transfer-Encoding: chunked\r\n" if chunked else ""
-    return (
-        "HTTP/1.1 200 OK\r\n"
-        "Content-Type: application/x-ndjson\r\n"
-        f"{framing}"
-        f"{_connection_header(keep_alive and chunked)}"
-        "\r\n"
-    ).encode("latin-1")
-
-
-def _event(event: dict, chunked: bool) -> bytes:
-    """One event as one JSON line, in a chunk of its own when *chunked*."""
-    line = (json.dumps(event, sort_keys=True) + "\n").encode("utf-8")
-    if not chunked:
-        return line
-    return f"{len(line):x}\r\n".encode("latin-1") + line + b"\r\n"
-
-
-#: Terminator of a chunked response; it delimits each stream on a
-#: persistent connection.  An unchunked stream ends with its connection.
-_LAST_CHUNK = b"0\r\n\r\n"
-
-
-def _start_stream(
-    writer: asyncio.StreamWriter, chunked: bool, keep_alive: bool
-) -> Callable:
-    """Open an ndjson event stream; returns ``send(event)``."""
-    writer.write(_stream_head(chunked, keep_alive))
-
-    async def send(event: dict) -> None:
-        writer.write(_event(event, chunked))
-        await writer.drain()
-
-    return send
-
-
-class ServiceServer:
-    """asyncio HTTP server wired to a :class:`SchedulingService`.
-
-    Connections persist (module docstring, *Connections*):
-    :meth:`_handle_connection` serves requests in turn on one connection
-    until a request asks to close or is malformed, the client goes away,
-    the connection waits :data:`IDLE_TIMEOUT_S` for a request, or
-    :meth:`aclose` shuts the server down.  The server
-    closes a connection of its own accord only while it is idle, so a
-    client that finds a reused connection closed before any response byte
-    knows its request was never read.
-    """
-
-    def __init__(
-        self,
-        service: SchedulingService,
-        host: str = "127.0.0.1",
-        port: int = 0,
-    ):
-        self.service = service
-        self.host = host
-        self.port = port
-        self._server: Optional[asyncio.AbstractServer] = None
-        self._handlers: set[asyncio.Task] = set()
-        self._idle: set[asyncio.StreamWriter] = set()  # awaiting a request
-        self._closed = False
-
-    async def start(self) -> None:
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
-
-    async def aclose(self) -> None:
-        """Stop listening, close every connection and wait until all have.
-
-        Idle connections close at once, busy ones after their current
-        response, so a pending miss holds this until the service answers
-        it (:meth:`RunningService.aclose` stops the service first, which
-        answers every pending miss).  An idle connection left open would
-        hold it for :data:`IDLE_TIMEOUT_S`, and so would it hold
-        ``Server.wait_closed``, which waits for every open connection on
-        Python 3.12+.
-        """
-        self._closed = True
-        if self._server is not None:
-            self._server.close()
-            for writer in self._idle:
-                writer.close()
-            if self._handlers:
-                await asyncio.wait(self._handlers)
-            await self._server.wait_closed()
-            self._server = None
-
-    # ------------------------------------------------------------------ #
-    # Connection handling
-    # ------------------------------------------------------------------ #
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        self.service.counters["connections_accepted"] += 1
-        handler = asyncio.current_task()
-        self._handlers.add(handler)
-        loop = asyncio.get_running_loop()
-        try:
-            keep_alive = True
-            while keep_alive and not self._closed:
-                self._idle.add(writer)
-                idle = loop.call_later(IDLE_TIMEOUT_S, writer.close)
-                try:
-                    request = await _read_request(reader)
-                except (_BadRequest, ValueError, asyncio.IncompleteReadError) as exc:
-                    if not writer.is_closing():
-                        await _send_json(
-                            writer, 400, {"error": str(exc)}, keep_alive=False
-                        )
-                    return
-                finally:
-                    idle.cancel()
-                    self._idle.discard(writer)
-                if request is None:
-                    return
-                method, target, chunked, keep_alive, body = request
-                keep_alive = await self._route(
-                    method, target, body, writer, chunked, keep_alive
-                )
-        except (ConnectionResetError, BrokenPipeError):
-            pass  # client went away mid-response
-        finally:
-            self._handlers.discard(handler)
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError, OSError):
-                pass
-
-    async def _route(
-        self,
-        method: str,
-        target: str,
-        body: bytes,
-        writer: asyncio.StreamWriter,
-        chunked: bool,
-        keep_alive: bool,
-    ) -> bool:
-        """Answer one request; returns whether the connection stays open."""
-        if target == "/v1/schedule":
-            if method != "POST":
-                await _send_json(writer, 405, {"error": "POST required"}, keep_alive)
-            else:
-                return await self._handle_schedule(body, writer, chunked, keep_alive)
-        elif target == "/v1/healthz":
-            await _send_json(writer, 200, self.service.health(), keep_alive)
-        elif target == "/v1/stats":
-            await _send_json(writer, 200, self.service.stats(), keep_alive)
-        else:
-            await _send_json(writer, 404, {"error": f"no route {target}"}, keep_alive)
-        return keep_alive
-
-    async def _handle_schedule(
-        self,
-        body: bytes,
-        writer: asyncio.StreamWriter,
-        chunked: bool,
-        keep_alive: bool,
-    ) -> bool:
-        """Answer ``POST /v1/schedule``; returns whether the connection
-        stays open (an unchunked event stream ends with it)."""
-        service = self.service
-        try:
-            doc = json.loads(body.decode("utf-8"))
-            if not isinstance(doc, dict):
-                raise ValueError("request body must be a JSON object")
-            if doc.get("selftest") and not service.allow_selftest:
-                raise ValueError("selftest ops are disabled on this server")
-            check_solver_fields(doc, service.default_strategy)
-            problem = problem_from_document(doc)
-        except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
-            service.counters["invalid_requests"] += 1
-            await _send_json(
-                writer, 400, {"error": f"{type(exc).__name__}: {exc}"}, keep_alive
-            )
-            return keep_alive
-
-        request_id = service.next_request_id()
-        service.counters["requests_total"] += 1
-        received = time.monotonic()
-        key = canonical_key(problem)
-
-        cached_entry = service.cache.get(key)
-        if cached_entry is not None:
-            service.counters["cache_hits"] += 1
-            await self._serve_cache_hit(
-                writer, chunked, keep_alive, request_id, key, cached_entry, received
-            )
-            return keep_alive and chunked
-        service.counters["cache_misses"] += 1
-
-        spec = {
-            "problem": {
-                "num_qubits": doc["num_qubits"],
-                "gates": [list(gate) for gate in doc["gates"]],
-                "layout": doc.get("layout", "bottom"),
-                "shielding": doc.get("shielding"),
-            },
-            "strategy": doc.get("strategy"),
-            "sat_backend": doc.get("sat_backend"),
-            "time_limit": doc.get("time_limit", service.default_time_limit),
-            "chaos_spec": doc.get("chaos_spec"),
-        }
-        if service.allow_selftest and doc.get("selftest"):
-            spec["selftest"] = doc["selftest"]
-        deadline = doc.get("deadline")
-        if deadline is not None:
-            # The budget starts ticking NOW: queueing time counts against
-            # the request, because the service promises end-to-end latency.
-            spec["deadline"] = Deadline.after(float(deadline))
-
-        job = service.try_submit(request_id, spec)
-        if job is None:
-            service.counters["rejected_queue_full"] += 1
-            await _send_json(
-                writer,
-                503,
-                {
-                    "error": "request queue is full",
-                    "queue_limit": service.queue_limit,
-                    "request_id": request_id,
-                },
-                keep_alive,
-            )
-            return keep_alive
-
-        if service.ledger is not None:
-            service.ledger.record_request(request_id)
-        send = _start_stream(writer, chunked, keep_alive)
-        await send(
-            {
-                "event": "accepted",
-                "request_id": request_id,
-                "canonical_key": key,
-                "cache": "miss",
-                "queue_depth": service.queue_depth(),
-                "termination": TERMINATION_PENDING,
-            }
-        )
-        # The structured witness streams while the exact solve runs: the
-        # client holds a validated schedule (an upper-bound certificate)
-        # strictly before the certified optimum lands.
-        loop = asyncio.get_running_loop()
-        witness = await loop.run_in_executor(
-            None, _witness_event, problem, request_id
-        )
-        await send(witness)
-        outcome = await job.outcomes.get()
-        result = self._result_event(outcome, request_id, key)
-        if (
-            outcome.status == TASK_OK
-            and result.get("termination") == TERMINATION_CERTIFIED
-            and result.get("optimal")
-            and result.get("found")
-        ):
-            service.cache.put(
-                key, {k: result[k] for k in _CACHEABLE_KEYS if k in result}
-            )
-        await send(result)
-        if chunked:
-            writer.write(_LAST_CHUNK)
-            await writer.drain()
-        self._finish_ledger(request_id, key, result, received)
-        return keep_alive and chunked
-
-    async def _serve_cache_hit(
-        self,
-        writer: asyncio.StreamWriter,
-        chunked: bool,
-        keep_alive: bool,
-        request_id: str,
-        key: str,
-        entry: dict,
-        received: float,
-    ) -> None:
-        """Send a hit's whole response in one write and one drain."""
-        service = self.service
-        if service.ledger is not None:
-            service.ledger.record_request(request_id)
-        accepted = {
-            "event": "accepted",
-            "request_id": request_id,
-            "canonical_key": key,
-            "cache": "hit",
-            "queue_depth": service.queue_depth(),
-            "termination": entry.get("termination", TERMINATION_CERTIFIED),
-        }
-        result = {
-            "event": "result",
-            "request_id": request_id,
-            "canonical_key": key,
-            "cached": True,
-            "solver_probes": 0,
-            **entry,
-        }
-        writer.write(
-            _stream_head(chunked, keep_alive)
-            + _event(accepted, chunked)
-            + _event(result, chunked)
-            + (_LAST_CHUNK if chunked else b"")
-        )
-        await writer.drain()
-        service.counters["results_ok"] += 1
-        self._finish_ledger(request_id, key, result, received)
-
-    def _result_event(
-        self, outcome: TaskOutcome, request_id: str, key: str
-    ) -> dict:
-        service = self.service
-        base = {
-            "event": "result",
-            "request_id": request_id,
-            "canonical_key": key,
-            "cached": False,
-            "worker_seconds": outcome.seconds,
-        }
-        if outcome.status == TASK_OK:
-            payload = dict(outcome.value)
-            service.counters[
-                "results_ok"
-                if payload.get("termination") == TERMINATION_CERTIFIED
-                else "results_degraded"
-            ] += 1
-            return {
-                **base,
-                "solver_probes": payload.get("num_horizons", 0),
-                **payload,
-            }
-        if outcome.status == TASK_CRASHED:
-            # The worker died mid-solve (the pool has already replaced
-            # it); to the client this is a backend error on this request,
-            # not a service outage.
-            service.counters["worker_crashes"] += 1
-            termination = TERMINATION_BACKEND_ERROR
-        elif outcome.status == TASK_TIMEOUT:
-            termination = TERMINATION_DEADLINE
-        else:
-            termination = TERMINATION_BACKEND_ERROR
-        service.counters["results_degraded"] += 1
-        return {
-            **base,
-            "solver_probes": 0,
-            "found": False,
-            "optimal": False,
-            "termination": termination,
-            "error": outcome.error,
-        }
-
-    def _finish_ledger(
-        self, request_id: str, key: str, result: dict, received: float
-    ) -> None:
-        if self.service.ledger is None:
-            return
-        self.service.ledger.record_verdict(
-            request_id,
-            {
-                "canonical_key": key,
-                "cached": bool(result.get("cached")),
-                "termination": result.get("termination"),
-                "status": "ok" if result.get("found") else "degraded",
-                "seconds": time.monotonic() - received,
-            },
-        )
-
-
 def _witness_event(problem, request_id: str) -> dict:
     """The anytime witness: analytic lower bound + structured upper bound.
 
@@ -960,7 +666,7 @@ class RunningService:
     """A started service + server pair (tests and the load-test harness)."""
 
     service: SchedulingService
-    server: ServiceServer
+    server: HttpServer
 
     @property
     def host(self) -> str:
@@ -976,7 +682,7 @@ class RunningService:
 
         The service stops first: it ends every pending miss with a
         ``backend-error`` result, so no busy connection holds the server.
-        Its ledger and cache close last, once every handler has recorded
+        Its ledger and cache close last, once every stream has recorded
         its verdict.
         """
         self.service.stop()
@@ -990,7 +696,7 @@ async def start_service(
 ) -> RunningService:
     """Start a service and its HTTP server on *host*:*port* (0 = ephemeral)."""
     service = SchedulingService(**config)
-    server = ServiceServer(service, host=host, port=port)
+    server = HttpServer(service.handle, service.connection_opened, host, port)
     try:
         await server.start()
     except BaseException:

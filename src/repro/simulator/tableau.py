@@ -14,7 +14,7 @@ observables can be performed in the standard O(n²) way.
 from __future__ import annotations
 
 import random
-from typing import Iterable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -112,11 +112,6 @@ class TableauSimulator:
         if circuit.num_qubits > self._n:
             raise ValueError("circuit has more qubits than the simulator")
         for gate in circuit:
-            self.apply_gate(gate)
-
-    def run_gates(self, gates: Iterable[Gate]) -> None:
-        """Apply an iterable of gates."""
-        for gate in gates:
             self.apply_gate(gate)
 
     # ------------------------------------------------------------------ #

@@ -37,7 +37,6 @@ from repro.smt.terms import (
     Distinct,
 )
 from repro.smt.solver import CheckResult, Model, Solver
-from repro.smt.cardinality import at_least_one, at_most_k, at_most_one, exactly_one
 
 __all__ = [
     "And",
@@ -56,8 +55,4 @@ __all__ = [
     "Not",
     "Or",
     "Solver",
-    "at_least_one",
-    "at_most_k",
-    "at_most_one",
-    "exactly_one",
 ]

@@ -20,9 +20,7 @@ from repro.evaluation.executor import (
     WorkerPool,
 )
 from repro.evaluation.runner import (
-    SMT_INSTANCES,
     BenchInstance,
-    dedupe_instances,
     execute_spec,
     run_batch,
 )
@@ -185,64 +183,6 @@ def test_run_batch_reuses_workers_across_cells():
     assert all(result.status == "ok" for result in results)
     pids = {result.payload["pid"] for result in results}
     assert 1 <= len(pids) <= 2
-
-
-# --------------------------------------------------------------------------- #
-# Canonical-hash bench dedup
-# --------------------------------------------------------------------------- #
-def _smt_cell(name, gates, num_qubits=4, strategy="bisection", **extra):
-    from repro.evaluation.runner import REDUCED_LAYOUT_KWARGS
-
-    return BenchInstance(
-        name=name,
-        suite="smt",
-        spec={
-            "kind": "smt",
-            "instance": name,
-            "problem": {
-                "num_qubits": num_qubits,
-                "gates": [list(gate) for gate in gates],
-                "layout": {"kind": "bottom", **REDUCED_LAYOUT_KWARGS},
-            },
-            "strategy": strategy,
-            "time_limit": 60.0,
-            **extra,
-        },
-    )
-
-
-def test_dedupe_drops_isomorphic_smt_cells():
-    _, ring = SMT_INSTANCES["ring-4"]
-    relabeled = [(3, 1), (1, 2), (2, 0), (0, 3)]  # ring-4 under 0<->3 swap... still C4
-    cells = [
-        _smt_cell("smt/a", ring),
-        _smt_cell("smt/b", relabeled),
-        _smt_cell("smt/c", ring, strategy="linear"),  # different config: kept
-    ]
-    kept, dropped = dedupe_instances(cells)
-    assert [cell.name for cell in kept] == ["smt/a", "smt/c"]
-    assert dropped == {"smt/b": "smt/a"}
-
-
-def test_dedupe_keeps_non_isomorphic_and_non_smt_cells():
-    path = [(0, 1), (1, 2), (2, 3)]
-    star = [(0, 1), (0, 2), (0, 3)]
-    other = BenchInstance(name="selftest/x", suite="selftest", spec=_selftest("ok"))
-    kept, dropped = dedupe_instances(
-        [_smt_cell("smt/path", path), _smt_cell("smt/star", star), other]
-    )
-    assert [cell.name for cell in kept] == ["smt/path", "smt/star", "selftest/x"]
-    assert dropped == {}
-
-
-def test_dedupe_requires_matching_solver_configuration():
-    _, triangle = SMT_INSTANCES["triangle"]
-    cells = [
-        _smt_cell("smt/t60", triangle, num_qubits=3, time_limit=60.0),
-        _smt_cell("smt/t10", triangle, num_qubits=3, time_limit=10.0),
-    ]
-    kept, dropped = dedupe_instances(cells)
-    assert len(kept) == 2 and dropped == {}
 
 
 # --------------------------------------------------------------------------- #

@@ -15,8 +15,7 @@ import time
 import pytest
 
 from repro.evaluation.runner import SMT_INSTANCES
-from repro.service import client, get_json, start_service, stream_schedule
-from repro.service import server as server_module
+from repro.service import client, get_json, http, start_service, stream_schedule
 from repro.service.ledger import load_ledger
 
 RELABELED_TRIANGLE = [[1, 0], [2, 1], [0, 2]]
@@ -46,8 +45,8 @@ def _run(coro_fn, **config):
 async def _read_response(reader):
     """``(status, headers, body)`` of one framed response."""
     status_line = await reader.readline()
-    status, headers = await client._read_status_and_headers(reader, status_line)
-    body, framed = await client._read_body(reader, headers)
+    status, headers = await http.read_response_head(reader, status_line)
+    body, framed = await http.read_body(reader, headers)
     assert framed
     return status, headers, body
 
@@ -116,8 +115,17 @@ def test_close_requests_get_connection_close(request_head):
         b"POST /v1/schedule HTTP/1.1\r\nContent-Length: abc\r\n\r\n",
         b"POST /v1/schedule HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"
         b"2\r\n{}\r\n0\r\n\r\n",
+        b"GET /v1/stats HTTP/1.1\r\n"
+        + b"".join(b"X-Pad-%d: %s\r\n" % (i, b"a" * 8000) for i in range(9))
+        + b"\r\n",
     ],
-    ids=["bad-request-line", "oversized-body", "bad-length", "chunked-body"],
+    ids=[
+        "bad-request-line",
+        "oversized-body",
+        "bad-length",
+        "chunked-body",
+        "oversized-headers",
+    ],
 )
 def test_malformed_requests_get_400_and_close(request_head):
     async def scenario(running):
@@ -136,7 +144,7 @@ def test_malformed_requests_get_400_and_close(request_head):
 
 
 def test_idle_timeout_closes_and_the_client_retries(monkeypatch):
-    monkeypatch.setattr(server_module, "IDLE_TIMEOUT_S", 0.2)
+    monkeypatch.setattr(http, "IDLE_TIMEOUT_S", 0.2)
 
     async def scenario(running):
         status, _body = await stream_schedule(running.host, running.port, INVALID_DOC)
@@ -472,6 +480,24 @@ def test_failure_after_the_first_byte_is_not_retried():
         assert seen["connections"] == 1
 
     _peer(reply, scenario)
+
+
+def test_chunked_stream_cut_before_its_last_chunk_is_not_complete():
+    """EOF inside a chunked body is a truncated response, not its end."""
+    cut = (
+        b"HTTP/1.1 200 OK\r\nContent-Type: application/x-ndjson\r\n"
+        b"Transfer-Encoding: chunked\r\nConnection: keep-alive\r\n\r\n"
+        b'16\r\n{"event": "accepted"}\n\r\n',
+    )
+
+    async def scenario(port, seen):
+        with pytest.raises(asyncio.IncompleteReadError):
+            await stream_schedule("127.0.0.1", port, {})
+        key = (asyncio.get_running_loop(), "127.0.0.1", port)
+        assert not client._IDLE.get(key)
+        assert seen["connections"] == 1
+
+    _peer(lambda connection, index: cut, scenario)
 
 
 def test_timed_out_stream_closes_its_connection_and_is_not_pooled():

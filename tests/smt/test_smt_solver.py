@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.smt import If, Iff, Implies, Not, Or, Solver, CheckResult
-from repro.smt import at_most_one, exactly_one
 
 
 def test_simple_int_constraints():
@@ -130,22 +129,6 @@ def test_statistics_reported():
     stats = solver.statistics()
     assert stats["sat_variables"] > 0
     assert stats["sat_clauses"] > 0
-
-
-def test_cardinality_exactly_one():
-    solver = Solver()
-    flags = [solver.bool_var(f"f{i}") for i in range(4)]
-    solver.add(exactly_one(flags))
-    solver.add(Not(flags[0]), Not(flags[1]), Not(flags[2]))
-    assert solver.check().is_sat()
-    assert solver.model()[flags[3]] is True
-
-
-def test_cardinality_at_most_one_violation():
-    solver = Solver()
-    flags = [solver.bool_var(f"f{i}") for i in range(3)]
-    solver.add(at_most_one(flags), flags[0], flags[1])
-    assert solver.check().is_unsat()
 
 
 def test_all_different_grid():

@@ -324,17 +324,6 @@ def test_loadtest_command_enforces_min_hit_rate(capsys):
     assert "below the --min-hit-rate floor" in captured.err
 
 
-def test_bench_command_dedupe_drops_isomorphic_cells(capsys):
-    # The stock smoke matrix has no isomorphic duplicates, so --dedupe
-    # must be a no-op on it: same cells, same results, nothing dropped.
-    exit_code = main(
-        ["bench", "--suite", "smt", "--strategy", "bisection", "--dedupe"]
-    )
-    captured = capsys.readouterr()
-    assert exit_code == 0
-    assert "dedupe: dropped" not in captured.err
-
-
 def test_serve_command_parses_arguments():
     parser = build_parser()
     args = parser.parse_args(
